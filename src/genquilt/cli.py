@@ -6,7 +6,8 @@ flags, no configuration files or environment, so identical invocations
 produce byte-identical output.  Unbounded integers are rendered as decimal
 strings, rationals both as num/den and as a 12-place decimal.
 
-Exit codes: 0 success, 2 usage or argument error, 3 budget exceeded.
+Exit codes: 0 success, 2 usage or argument error, 3 budget exceeded.  A
+reader that closes stdout early (`| head`) ends the run with exit 0.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import platform
 import sys
 from fractions import Fraction
@@ -307,7 +309,15 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"genquilt: {exc}", file=sys.stderr)
         return 2
-    _emit(record, args.format, sys.stdout)
+    try:
+        _emit(record, args.format, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (`| head -1`), which is not an error.  Point
+        # stdout at devnull so the flush at interpreter exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

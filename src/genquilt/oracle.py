@@ -2,10 +2,11 @@
 
 Everything here exists to be obviously correct rather than fast: sequences
 rebuilt from their literal definitions by scanning for the smallest
-non-representable integer, exhaustive legal-subset enumeration, and a plain
-coin-change DP for minimal summand counts.  Closed-form generators and
-counting recurrences are validated against these; only the legality
-predicates are shared (and those are differentially tested on both sides).
+non-representable integer, exhaustive legal-subset enumeration, a
+depth-first decomposition counter, and a plain coin-change DP for minimal
+summand counts.  Closed-form generators and counting recurrences are
+validated against these; only the legality predicates are shared (and those
+are differentially tested on both sides).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ DEFINITIONAL_BUDGET = 25
 QUILT_ENUMERATION_BUDGET = 45  # d_45 is on the order of 1e6 subsets
 SB_ENUMERATION_BUDGET = 2 * 10**6  # subsets over indices <= N number about a_{N+1}
 MIN_SUMMANDS_BUDGET = 10**6
+DFS_COUNT_BUDGET = 10**12  # the walk visits every decomposition: about 1 s at 13 digits
 
 
 @dataclass
@@ -130,6 +132,39 @@ def enumerate_legal(
 
     rec(max_index, 0)
     return EnumerationResult(subsets, by_value)
+
+
+def count_decompositions_dfs(m: int) -> int:
+    """Number of FQ-legal index sets summing to ``m`` (m = 0 counts 1).
+
+    Depth-first over indices descending with the 5-wide occupancy window, the
+    {1,3} rule, and pruning by the partial-sum identity
+    q_1 + ... + q_i = q_{i+5} - 6.  Its work tracks the count it returns.
+    """
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
+    if m > DFS_COUNT_BUDGET:
+        raise BudgetExceededError("depth-first count value", m, DFS_COUNT_BUDGET)
+    if m == 0:
+        return 1
+    cache = q.shared_cache()
+    top = cache.index_of_largest_leq(m)
+    cache.ensure_count(top + 5)
+    term = cache.term
+
+    def rec(i: int, remaining: int, mask: int, three_used: bool) -> int:
+        if remaining == 0:
+            return 1
+        if i == 0 or remaining > term(i + 5) - 6:
+            return 0  # even taking everything below i cannot reach
+        total = 0
+        v = term(i)
+        if v <= remaining and not mask & q.WINDOW_BAD and not (i == 1 and three_used):
+            total += rec(i - 1, remaining - v, ((mask << 1) | 1) & 0b1111, three_used or i == 3)
+        total += rec(i - 1, remaining, (mask << 1) & 0b1111, three_used)
+        return total
+
+    return rec(top, m, 0, False)
 
 
 def min_summands_table(m_max: int) -> list[int]:

@@ -128,10 +128,10 @@ def fq_extend_ok(candidate: int, chosen_desc: list[int]) -> bool:
     return True
 
 
-# Bits 0..3 flag whether index i+1 .. i+4 is occupied when index i is being
-# decided; differences 1, 3, 4 are the forbidden ones (bit 1 = difference 2
-# is fine).
-_WINDOW_BAD = 0b1101
+#: Occupancy-window mask of the legality automaton.  Bits 0..3 flag whether
+#: index i+1 .. i+4 is occupied when index i is being decided; differences 1,
+#: 3, 4 are the forbidden ones (bit 1 = difference 2 is fine).
+WINDOW_BAD = 0b1101
 
 
 def fq_legal_window(indices: Iterable[int]) -> bool:
@@ -150,7 +150,7 @@ def fq_legal_window(indices: Iterable[int]) -> bool:
     for i in range(lst[0], 0, -1):
         take = i in chosen
         if take:
-            if mask & _WINDOW_BAD:
+            if mask & WINDOW_BAD:
                 return False
             if i == 1 and has_three:
                 return False

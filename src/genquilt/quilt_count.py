@@ -14,6 +14,18 @@ Note d_n counts subsets by index bound, not by value: some of the counted
 subsets sum past q_{n+1}.  Average-count reports filter by value instead, so
 the two views must not be conflated (the exact average over [0, q_{n+1}) is
 total/q_{n+1} with the value filter applied).
+
+Per-integer counts and the value-filtered totals behind the averages come
+from one iterative sweep of the legality automaton (the transfer-matrix
+method).  It decides the indices from the top down and keeps a dict from
+state (budget left, 4-bit window mask, {1,3} flag) to an exact number of
+ways; equal states merge, so about ten survive per index.  The budget is
+compared with the sum of the terms below the current index i, which is
+q_1 + ... + q_{i-1} = q_{i+4} - 6 (0 at i = 1).  In exact-sum mode a state
+whose remainder exceeds it is pruned.  In below-limit mode a state whose
+slack covers it drops its budget and runs on as the plain occupancy
+automaton.  ``oracle.count_decompositions_dfs`` is the naive depth-first
+reference that the sweep is tested against.
 """
 
 from __future__ import annotations
@@ -23,9 +35,7 @@ from fractions import Fraction
 
 from . import oracle
 from .errors import BudgetExceededError
-from .quilt import QuiltCache, shared_cache
-
-_WINDOW_BAD = 0b1101  # offsets 1, 3, 4 occupied (difference 2 is allowed)
+from .quilt import WINDOW_BAD, QuiltCache, shared_cache
 
 AVERAGE_BUDGET = 30
 
@@ -79,39 +89,59 @@ def count_tables(n_max: int) -> CountTables:
     return CountTables(d, c, b)
 
 
-def count_decompositions(m: int, max_index: int | None = None, cache: QuiltCache | None = None) -> int:
+def _sweep(top: int, budget: int, cache: QuiltCache, *, exact: bool) -> int:
+    """Legal index sets over 1..top summing to exactly ``budget`` (``exact``)
+    or to at most ``budget`` (not ``exact``).
+
+    After index i is decided, the lower terms can add at most ``below`` =
+    q_1 + ... + q_{i-1}.  An exact state with more left can never reach 0 and
+    is dropped; one with 0 left completes in exactly one way (take nothing
+    more) and is counted at once.  A bounded state with at least ``below``
+    left fits every completion, so its budget becomes None.
+    """
+    q = [0, *cache.terms(top + 4)]  # q[i] = q_i
+    states: dict[tuple[int | None, int, bool], int] = {(budget, 0, False): 1}
+    hit = 0
+    for i in range(top, 0, -1):
+        v = q[i]
+        below = q[i + 4] - 6 if i > 1 else 0
+        nxt: dict = {}
+        for (left, mask, three), ways in states.items():
+            shifted = (mask << 1) & 0b1111
+            succ = [(left, shifted, three)]
+            if (left is None or v <= left) and not mask & WINDOW_BAD and not (i == 1 and three):
+                succ.append((None if left is None else left - v, shifted | 1, three or i == 3))
+            for key in succ:
+                rest = key[0]
+                if exact:
+                    if rest == 0:
+                        hit += ways
+                        continue
+                    if rest > below:
+                        continue
+                elif rest is not None and rest >= below:
+                    key = (None, key[1], key[2])
+                nxt[key] = nxt.get(key, 0) + ways
+        states = nxt
+    return hit + sum(states.values())
+
+
+def count_decompositions(m: int, cache: QuiltCache | None = None) -> int:
     """Exact number of FQ-legal index sets summing to ``m`` (m = 0 counts 1).
 
-    Depth-first over indices descending with the 5-wide occupancy window, the
-    {1,3} rule, and pruning by the partial-sum identity
-    q_1 + ... + q_i = q_{i+5} - 6.  ``max_index`` is a sizing hint only: the
-    cache auto-extends to cover ``m``, and indices whose term exceeds ``m``
-    cannot occur in any decomposition, so the count never depends on it.
+    One downward sweep of the occupancy automaton from the largest index
+    whose term is at most ``m``.  Its state is (remainder, 4-bit window
+    mask, {1,3} flag), about ten of them per index.  A remainder above the
+    sum of the terms below the current index is pruned; that sum is exact by
+    the identity q_1 + ... + q_i = q_{i+5} - 6.  The work tracks the index of
+    ``m`` (about eight indices per decimal digit), not the count returned.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    if max_index is not None and max_index < 1:
-        raise ValueError(f"max_index must be >= 1, got {max_index}")
     if m == 0:
         return 1
     cache = cache or shared_cache()
-    top = cache.index_of_largest_leq(m)
-    cache.ensure_count(top + 5)
-    term = cache.term
-
-    def rec(i: int, remaining: int, mask: int, three_used: bool) -> int:
-        if remaining == 0:
-            return 1
-        if i == 0 or remaining > term(i + 5) - 6:
-            return 0  # even taking everything below i cannot reach
-        total = 0
-        v = term(i)
-        if v <= remaining and not mask & _WINDOW_BAD and not (i == 1 and three_used):
-            total += rec(i - 1, remaining - v, ((mask << 1) | 1) & 0b1111, three_used or i == 3)
-        total += rec(i - 1, remaining, (mask << 1) & 0b1111, three_used)
-        return total
-
-    return rec(top, m, 0, False)
+    return _sweep(cache.index_of_largest_leq(m), m, cache, exact=True)
 
 
 def _filtered_subset_total(n: int, cache: QuiltCache) -> int:
@@ -120,27 +150,14 @@ def _filtered_subset_total(n: int, cache: QuiltCache) -> int:
     Indices above n need not be visited: any such summand is itself at least
     q_{n+1}, so the value filter would reject the subset anyway.
     """
-    limit = cache.term(n + 1)
-    cache.ensure_count(n + 5)
-    term = cache.term
-
-    def rec(i: int, used: int, mask: int, three_used: bool) -> int:
-        if i == 0:
-            return 1
-        total = rec(i - 1, used, (mask << 1) & 0b1111, three_used)
-        v = term(i)
-        if used + v < limit and not mask & _WINDOW_BAD and not (i == 1 and three_used):
-            total += rec(i - 1, used + v, ((mask << 1) | 1) & 0b1111, three_used or i == 3)
-        return total
-
-    return rec(n, 0, 0, False)
+    return _sweep(n, cache.term(n + 1) - 1, cache, exact=False)
 
 
 def average_decompositions(n: int, budget: int = AVERAGE_BUDGET) -> AverageReport:
     """Exact mean of the per-integer decomposition count over [0, q_{n+1}).
 
-    Computed by enumerating legal subsets whose value stays below q_{n+1}
-    (each decomposition of each m in range appears exactly once).  The
+    Computed by counting legal subsets whose value stays below q_{n+1}
+    (each decomposition of each m in range is one such subset).  The
     exponent estimate is average(n)/average(n-1), defined for n >= 2.
     """
     if n < 1:

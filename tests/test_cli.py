@@ -1,10 +1,17 @@
 """CLI surface: subcommand grammar, formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from genquilt.cli import main
+from genquilt.quilt import quilt_terms
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -91,6 +98,11 @@ class TestCountAndAverage:
     def test_count_106(self, capsys):
         record = run_json(capsys, "count", "quilt", "--m", "106")
         assert record["rows"][0]["count"] == "3"
+
+    def test_count_146_digit_quilt_term(self, capsys):
+        m = str(quilt_terms(1200).term(1200))
+        record = run_json(capsys, "count", "quilt", "--m", m)
+        assert record["rows"] == [{"m": m, "count": "1"}]
 
     def test_average_exponent(self, capsys):
         record = run_json(capsys, "average", "quilt", "--n", "21")
@@ -183,3 +195,18 @@ class TestHarness:
         code, out, _ = run(capsys, "seq", "quilt", "--count", "3", "--format", "csv")
         assert code == 0
         assert "\r" not in out
+
+    def test_reader_closing_pipe_early_is_not_an_error(self):
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "genquilt.cli", "seq", "quilt", "--count", "5000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()  # like `| head -1`: the output is far larger than the pipe buffer
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert b"Traceback" not in err, err.decode()

@@ -5,6 +5,8 @@ import pytest
 from genquilt.errors import BudgetExceededError
 from genquilt.generacci import SBParams, generate, is_legal_sb
 from genquilt.oracle import (
+    DFS_COUNT_BUDGET,
+    count_decompositions_dfs,
     definitional_sequence,
     enumerate_legal,
     min_summands_dp,
@@ -87,6 +89,24 @@ class TestEnumeration:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             enumerate_legal("quilt", 46)
+
+
+class TestCountDecompositionsDfs:
+    def test_106(self):
+        assert count_decompositions_dfs(106) == 3
+
+    def test_matches_enumeration_by_value(self):
+        by_value = enumerate_legal("quilt", 14).by_value
+        for m in range(0, 86):  # indices <= 14 cover every m < q_15 = 86
+            assert count_decompositions_dfs(m) == by_value.get(m, 0), m
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            count_decompositions_dfs(-1)
+
+    def test_budget(self):
+        with pytest.raises(BudgetExceededError):
+            count_decompositions_dfs(DFS_COUNT_BUDGET + 1)
 
 
 class TestMinSummands:

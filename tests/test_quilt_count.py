@@ -3,10 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genquilt.errors import BudgetExceededError
 from genquilt.numerics import count_char, dominant_root
-from genquilt.oracle import enumerate_legal
+from genquilt.oracle import count_decompositions_dfs, enumerate_legal
 from genquilt.quilt import quilt_terms
 from genquilt.quilt_count import (
     average_decompositions,
@@ -95,10 +97,21 @@ class TestCountDecompositions:
         assert count_decompositions(5) == 1
 
     def test_matches_enumeration_by_value(self):
-        by_value = enumerate_legal("quilt", 14).by_value
-        # subsets over indices <= 14 cover every m < q_15 = 86 completely
-        for m in range(0, 86):
+        by_value = enumerate_legal("quilt", 16).by_value
+        # subsets over indices <= 16 cover every m < q_17 = 151 completely
+        for m in range(0, 151):
             assert count_decompositions(m) == by_value.get(m, 0), m
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**9))
+    def test_matches_oracle_dfs(self, m):
+        assert count_decompositions(m) == count_decompositions_dfs(m)
+
+    @pytest.mark.parametrize("n", [900, 1200])
+    def test_large_quilt_term_has_one_decomposition(self, n):
+        # Every quilt term decomposes only as itself.  q_900 has 110 digits
+        # and q_1200 has 146, far past what a depth-first walk finishes.
+        assert count_decompositions(quilt_terms(n).term(n)) == 1
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -121,7 +134,7 @@ class TestAverages:
         cache = quilt_terms(25)
         for n in range(1, 19):
             rep = average_decompositions(n)
-            direct = sum(count_decompositions(m) for m in range(cache.term(n + 1)))
+            direct = sum(count_decompositions_dfs(m) for m in range(cache.term(n + 1)))
             assert rep.total == direct, n
 
     def test_sandwich_below_index_count(self):
