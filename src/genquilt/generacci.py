@@ -18,6 +18,14 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
+from .errors import BudgetExceededError
+
+#: Most terms ``generate`` and ``quilt.quilt_terms`` hand out: the n-th term
+#: has up to about n/5 digits, so the cache holds up to about n^2/10 digits.
+TERMS_BUDGET = 5 * 10**4
+#: Most literal seed terms, (s+1)b + 1, that an (s,b) system may have.
+SEED_BUDGET = 10**6
+
 
 @dataclass(frozen=True)
 class SBParams:
@@ -29,6 +37,8 @@ class SBParams:
     def __post_init__(self) -> None:
         if self.s < 1 or self.b < 1:
             raise ValueError(f"s and b must be >= 1, got ({self.s}, {self.b})")
+        if self.seed_count > SEED_BUDGET:
+            raise BudgetExceededError("(s,b) seed size", self.seed_count, SEED_BUDGET)
 
     @property
     def seed_count(self) -> int:
@@ -57,36 +67,38 @@ class Decomposition:
         return len(self.indices)
 
 
-EMPTY_DECOMPOSITION = Decomposition((), ())
+class RecurrenceCache:
+    """Memoized prefix of a_n = a_{n-near} + coeff * a_{n-far}, 1-based.
 
+    Both families are recurrences of this shape with a zero leading term.
+    Growth is append-only: a term, once computed, never changes, so shared
+    concurrent readers are safe.
+    """
 
-class SequenceCache:
-    """Memoized prefix of an (s,b) sequence, 1-based, append-only growth."""
+    __slots__ = ("_terms", "_near", "_far", "_coeff")
 
-    __slots__ = ("params", "_terms")
-
-    def __init__(self, params: SBParams) -> None:
-        self.params = params
-        self._terms = list(range(1, params.seed_count + 1))
+    def __init__(self, seed: Iterable[int], near: int, far: int, coeff: int) -> None:
+        self._terms = list(seed)
+        self._near = near
+        self._far = far
+        self._coeff = coeff
 
     def __len__(self) -> int:
         return len(self._terms)
 
-    def ensure_count(self, count: int) -> "SequenceCache":
+    # Both growth loops stay inline: term() and index_of_largest_leq() call
+    # them on every greedy step, where the loop body almost never runs.
+    def ensure_count(self, count: int) -> "RecurrenceCache":
         t = self._terms
-        s, b = self.params.s, self.params.b
-        depth = (s + 1) * b
         while len(t) < count:
-            t.append(t[-b] + b * t[-depth])
+            t.append(t[-self._near] + self._coeff * t[-self._far])
         return self
 
-    def ensure_value(self, value: int) -> "SequenceCache":
+    def ensure_value(self, value: int) -> "RecurrenceCache":
         """Grow until the last cached term exceeds ``value``."""
         t = self._terms
-        s, b = self.params.s, self.params.b
-        depth = (s + 1) * b
         while t[-1] <= value:
-            t.append(t[-b] + b * t[-depth])
+            t.append(t[-self._near] + self._coeff * t[-self._far])
         return self
 
     def term(self, i: int) -> int:
@@ -97,6 +109,7 @@ class SequenceCache:
         return self._terms[i - 1]
 
     def terms(self, count: int) -> list[int]:
+        """The first ``count`` terms as a list."""
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
         self.ensure_count(count)
@@ -110,10 +123,23 @@ class SequenceCache:
         return bisect_right(self._terms, m)
 
 
+class SequenceCache(RecurrenceCache):
+    """Memoized prefix of an (s,b) sequence: literal seeds, then
+    a_n = a_{n-b} + b * a_{n-(s+1)b}."""
+
+    __slots__ = ("params",)
+
+    def __init__(self, params: SBParams) -> None:
+        super().__init__(range(1, params.seed_count + 1), params.b, (params.s + 1) * params.b, params.b)
+        self.params = params
+
+
 def generate(params: SBParams, count: int) -> SequenceCache:
     """The first ``count`` terms: literal seeds, then the depth-(s+1)b recurrence."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if count > TERMS_BUDGET:
+        raise BudgetExceededError("sequence length", count, TERMS_BUDGET)
     cache = SequenceCache(params)
     cache.ensure_count(count)
     return cache
@@ -153,6 +179,28 @@ def sb_extend_ok(params: SBParams, candidate: int, chosen_desc: list[int]) -> bo
     return bin_of(params, chosen_desc[-1]) - bin_of(params, candidate) > params.s
 
 
+def greedy_decomposition(cache: RecurrenceCache, m: int, *, greedy6: bool = False) -> Decomposition:
+    """Repeatedly subtract the largest term not exceeding the remainder.
+
+    The cache grows as needed, and m = 0 yields the empty decomposition.  With ``greedy6`` a remainder of
+    exactly 6 becomes a_4 + a_2 (the Greedy-6 patch for the quilt, where 6 is
+    not a term).
+    """
+    indices: list[int] = []
+    values: list[int] = []
+    remaining = m
+    while remaining:
+        if greedy6 and remaining == 6:
+            indices += (4, 2)
+            values += (cache.term(4), cache.term(2))
+            break
+        i = cache.index_of_largest_leq(remaining)
+        indices.append(i)
+        values.append(cache.term(i))
+        remaining -= values[-1]
+    return Decomposition(tuple(indices), tuple(values))
+
+
 def decompose(cache: SequenceCache, m: int) -> Decomposition:
     """The unique legal decomposition of ``m`` >= 0, found greedily.
 
@@ -161,15 +209,4 @@ def decompose(cache: SequenceCache, m: int) -> Decomposition:
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    if m == 0:
-        return EMPTY_DECOMPOSITION
-    cache.ensure_value(m)
-    indices: list[int] = []
-    values: list[int] = []
-    remaining = m
-    while remaining > 0:
-        i = cache.index_of_largest_leq(remaining)
-        indices.append(i)
-        values.append(cache.term(i))
-        remaining -= values[-1]
-    return Decomposition(tuple(indices), tuple(values))
+    return greedy_decomposition(cache, m)

@@ -22,10 +22,11 @@ from typing import Iterable
 
 from . import oracle
 from .errors import BudgetExceededError
-from .generacci import Decomposition
-from .quilt import QuiltCache, is_fq_legal, shared_cache
+from .generacci import Decomposition, greedy_decomposition
+from .quilt import is_fq_legal, shared_cache
 
 SIMULATION_BUDGET = 25
+SUCCESS_TABLE_BUDGET = 10**4  # each rho_n reduces a fraction of about n/8 digits
 
 
 @dataclass(frozen=True)
@@ -62,42 +63,19 @@ class MoveTrace:
     final: Decomposition
 
 
-def greedy_decompose(m: int, cache: QuiltCache | None = None) -> GreedyOutcome:
-    """Repeatedly subtract the largest q_i <= remainder; flag legality.
-
-    Indices come out strictly decreasing automatically since consecutive
-    terms never double (q_{i+1} < 2 q_i).
-    """
+def greedy_decompose(m: int) -> GreedyOutcome:
+    """Repeatedly subtract the largest q_i <= remainder; flag legality."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    cache = cache or shared_cache()
-    indices: list[int] = []
-    values: list[int] = []
-    remaining = m
-    while remaining:
-        i = cache.index_of_largest_leq(remaining)
-        indices.append(i)
-        values.append(cache.term(i))
-        remaining -= values[-1]
-    dec = Decomposition(tuple(indices), tuple(values))
-    return GreedyOutcome(dec, is_fq_legal(indices))
+    dec = greedy_decomposition(shared_cache(), m)
+    return GreedyOutcome(dec, is_fq_legal(dec.indices))
 
 
-def greedy6_decompose(m: int, cache: QuiltCache | None = None) -> Decomposition:
+def greedy6_decompose(m: int) -> Decomposition:
     """Greedy with one override: a remainder of exactly 6 becomes q_4 + q_2."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    cache = cache or shared_cache()
-    indices: list[int] = []
-    remaining = m
-    while remaining:
-        i = cache.index_of_largest_leq(remaining)
-        if cache.term(i) != remaining and remaining == 6:
-            indices.extend((4, 2))
-            break
-        indices.append(i)
-        remaining -= cache.term(i)
-    return Decomposition(tuple(indices), tuple(cache.term(i) for i in indices))
+    return greedy_decomposition(shared_cache(), m, greedy6=True)
 
 
 def structure_conditions(dec: Decomposition) -> tuple[bool, bool]:
@@ -119,15 +97,12 @@ def structure_conditions(dec: Decomposition) -> tuple[bool, bool]:
     return cond1, cond2
 
 
-def greedy_failures(limit: int, cache: QuiltCache | None = None) -> list[int]:
+def greedy_failures(limit: int) -> list[int]:
     """All m in [1, limit] where plain greedy yields an illegal decomposition."""
-    cache = cache or shared_cache()
-    return [m for m in range(1, limit + 1) if not greedy_decompose(m, cache).legal]
+    return [m for m in range(1, limit + 1) if not greedy_decompose(m).legal]
 
 
-def success_table(
-    n_max: int, mode: str = "recurrence", cache: QuiltCache | None = None
-) -> SuccessTable:
+def success_table(n_max: int, mode: str = "recurrence") -> SuccessTable:
     """h_n and rho_n for n = 1..n_max.
 
     Recurrence mode: h_k = k for k <= 5, then h_n = h_{n-1} + h_{n-5} + 1.
@@ -137,7 +112,9 @@ def success_table(
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if mode not in ("recurrence", "simulation"):
         raise ValueError(f"unknown mode {mode!r}")
-    cache = cache or shared_cache()
+    if n_max > SUCCESS_TABLE_BUDGET:
+        raise BudgetExceededError("success table size", n_max, SUCCESS_TABLE_BUDGET)
+    cache = shared_cache()
     if mode == "recurrence":
         h = [0] + list(range(1, min(n_max, 5) + 1))
         for n in range(6, n_max + 1):
@@ -151,7 +128,7 @@ def success_table(
         for n in range(1, n_max + 1):
             upper = cache.term(n + 1)
             while m < upper:
-                if greedy_decompose(m, cache).legal:
+                if greedy_decompose(m).legal:
                     count += 1
                 m += 1
             h[n] = count
@@ -166,15 +143,11 @@ def success_ratio_limit(n: int) -> float:
     return float(success_table(n).rho[n])
 
 
-def min_summands(m: int, budget: int = oracle.MIN_SUMMANDS_BUDGET) -> int:
+def min_summands(m: int) -> int:
     """Fewest quilt terms (repetition allowed) summing to m, by coin-change DP.
 
     Matching the Greedy-6 summand count is asserted in tests, never assumed.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if m > budget:
-        raise BudgetExceededError("min-summands DP size", m, budget)
     return oracle.min_summands_dp(m)
 
 
@@ -265,7 +238,7 @@ def _multiset_tuple(counts: dict[int, int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def normalize_to_greedy6(indices: Iterable[int], cache: QuiltCache | None = None) -> MoveTrace:
+def normalize_to_greedy6(indices: Iterable[int]) -> MoveTrace:
     """Rewrite any multiset of quilt indices to its Greedy-6 normal form.
 
     Moves are applied deterministically: anchors scanned from the largest
@@ -275,7 +248,7 @@ def normalize_to_greedy6(indices: Iterable[int], cache: QuiltCache | None = None
     (4,2) swap runs only once no move applies.  Every step is checked to
     preserve the sum and strictly shrink the termination measure.
     """
-    cache = cache or shared_cache()
+    cache = shared_cache()
     counts: dict[int, int] = {}
     for i in indices:
         if i < 1:

@@ -251,7 +251,7 @@ def _secondary_modulus(p: Polynomial, dominant: Fraction, tol: float) -> float:
         return float(max(abs(r) for r in rest))
 
 
-def dominant_root(p: Polynomial, tol: float = 1e-12, scan_bound: int | None = None) -> RootReport:
+def dominant_root(p: Polynomial, tol: float = 1e-12) -> RootReport:
     """The unique positive root exceeding 1, plus the next-largest modulus.
 
     The caller asserts such a root exists (true for every in-scope
@@ -261,7 +261,7 @@ def dominant_root(p: Polynomial, tol: float = 1e-12, scan_bound: int | None = No
         raise ValueError("degree must be >= 1")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    lo, hi = dominant_root_bracket(p, Fraction(tol), scan_bound)
+    lo, hi = dominant_root_bracket(p, Fraction(tol))
     mid = (lo + hi) / 2
     root = _newton_polish(p, mid, lo, hi)
     return RootReport(

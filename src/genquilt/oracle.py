@@ -82,13 +82,7 @@ def definitional_sequence(kind: Kind, count: int) -> list[int]:
     return terms
 
 
-def enumerate_legal(
-    kind: Kind,
-    max_index: int,
-    *,
-    value_cap: int | None = None,
-    collect_subsets: bool = True,
-) -> EnumerationResult:
+def enumerate_legal(kind: Kind, max_index: int, *, value_cap: int | None = None) -> EnumerationResult:
     """Every legal index subset of {1..max_index}, the empty set included.
 
     ``value_cap`` prunes to subsets whose sum stays at or below the cap
@@ -114,13 +108,9 @@ def enumerate_legal(
     by_value: dict[int, int] = {}
     chosen: list[int] = []
 
-    def record(total: int) -> None:
-        by_value[total] = by_value.get(total, 0) + 1
-        if collect_subsets:
-            subsets.append(tuple(chosen))
-
     def rec(max_i: int, total: int) -> None:
-        record(total)
+        by_value[total] = by_value.get(total, 0) + 1
+        subsets.append(tuple(chosen))
         for i in range(max_i, 0, -1):
             v = values[i - 1]
             if value_cap is not None and total + v > value_cap:

@@ -11,65 +11,26 @@ OEIS A000931.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Iterable
+
+from .errors import BudgetExceededError
+from .generacci import TERMS_BUDGET, RecurrenceCache
 
 #: Index differences that make a pair of summands illegal.
 FORBIDDEN_DIFFS = frozenset({1, 3, 4})
 
-# 1..5 are forced one by one; 6 = 4 + 2 is already legal, so the sixth term
-# is 7.  From there on q_{n+1} = q_n + q_{n-4}.
-_SEED = (1, 2, 3, 4, 5, 7)
 
-
-class QuiltCache:
+class QuiltCache(RecurrenceCache):
     """Memoized prefix of the quilt sequence, 1-based.
 
-    Growth is append-only: a term, once computed, never changes, so shared
-    concurrent readers are safe.
+    1..5 are forced one by one; 6 = 4 + 2 is already legal, so the sixth
+    term is 7.  From there on q_{n+1} = q_n + q_{n-4}.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(self) -> None:
-        self._terms = list(_SEED)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def ensure_count(self, count: int) -> "QuiltCache":
-        t = self._terms
-        while len(t) < count:
-            t.append(t[-1] + t[-5])
-        return self
-
-    def ensure_value(self, value: int) -> "QuiltCache":
-        """Grow until the last cached term exceeds ``value``."""
-        t = self._terms
-        while t[-1] <= value:
-            t.append(t[-1] + t[-5])
-        return self
-
-    def term(self, i: int) -> int:
-        """q_i."""
-        if i < 1:
-            raise ValueError(f"index must be >= 1, got {i}")
-        self.ensure_count(i)
-        return self._terms[i - 1]
-
-    def terms(self, count: int) -> list[int]:
-        """The first ``count`` terms as a list."""
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-        self.ensure_count(count)
-        return self._terms[:count]
-
-    def index_of_largest_leq(self, m: int) -> int:
-        """Largest index i with q_i <= m (m >= 1)."""
-        if m < 1:
-            raise ValueError(f"m must be >= 1, got {m}")
-        self.ensure_value(m)
-        return bisect_right(self._terms, m)
+        super().__init__((1, 2, 3, 4, 5, 7), 1, 5, 1)
 
 
 _shared = QuiltCache()
@@ -84,6 +45,8 @@ def quilt_terms(count: int) -> QuiltCache:
     """A cache holding at least the first ``count`` terms."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if count > TERMS_BUDGET:
+        raise BudgetExceededError("sequence length", count, TERMS_BUDGET)
     cache = QuiltCache()
     cache.ensure_count(count)
     return cache
@@ -104,7 +67,7 @@ def is_fq_legal(indices: Iterable[int]) -> bool:
             d = idx[b] - idx[a]
             if d > 4:
                 break  # sorted, later differences only grow
-            if d in (0, 1, 3, 4):
+            if d == 0 or d in FORBIDDEN_DIFFS:
                 return False
     if 1 in idx and 3 in idx:
         return False
@@ -121,7 +84,7 @@ def fq_extend_ok(candidate: int, chosen_desc: list[int]) -> bool:
         d = j - candidate
         if d > 4:
             break
-        if d in (0, 1, 3, 4):
+        if d == 0 or d in FORBIDDEN_DIFFS:
             return False
     if candidate == 1 and 3 in chosen_desc:
         return False
@@ -129,39 +92,15 @@ def fq_extend_ok(candidate: int, chosen_desc: list[int]) -> bool:
 
 
 #: Occupancy-window mask of the legality automaton.  Bits 0..3 flag whether
-#: index i+1 .. i+4 is occupied when index i is being decided; differences 1,
-#: 3, 4 are the forbidden ones (bit 1 = difference 2 is fine).
-WINDOW_BAD = 0b1101
+#: index i+1 .. i+4 is occupied when index i is being decided; bit d-1 is set
+#: for each forbidden difference d.
+WINDOW_BAD = sum(1 << (d - 1) for d in FORBIDDEN_DIFFS)
 
 
-def fq_legal_window(indices: Iterable[int]) -> bool:
-    """Sliding-window legality test, the automaton used inside enumerations.
-
-    Must agree with :func:`is_fq_legal` everywhere (differentially tested).
-    """
-    lst = sorted(indices, reverse=True)
-    if not lst:
-        return True
-    chosen = set(lst)
-    if len(chosen) != len(lst):
-        return False
-    has_three = 3 in chosen
-    mask = 0
-    for i in range(lst[0], 0, -1):
-        take = i in chosen
-        if take:
-            if mask & WINDOW_BAD:
-                return False
-            if i == 1 and has_three:
-                return False
-        mask = ((mask << 1) | take) & 0b1111
-    return True
-
-
-def partial_sum_identity_check(n: int, cache: QuiltCache | None = None) -> bool:
+def partial_sum_identity_check(n: int) -> bool:
     """Whether q_1 + ... + q_n == q_{n+5} - 6 holds exactly at ``n``."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    cache = cache or shared_cache()
+    cache = shared_cache()
     cache.ensure_count(n + 5)
     return sum(cache.terms(n)) == cache.term(n + 5) - 6

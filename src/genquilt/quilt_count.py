@@ -35,9 +35,10 @@ from fractions import Fraction
 
 from . import oracle
 from .errors import BudgetExceededError
-from .quilt import WINDOW_BAD, QuiltCache, shared_cache
+from .quilt import WINDOW_BAD, shared_cache
 
 AVERAGE_BUDGET = 30
+COUNT_TABLES_BUDGET = 10**4  # d_n has about n/7 digits
 
 
 @dataclass
@@ -81,6 +82,8 @@ def count_tables(n_max: int) -> CountTables:
     """d, c, b for 0..n_max: enumeration seeds below 7, recurrences beyond."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if n_max > COUNT_TABLES_BUDGET:
+        raise BudgetExceededError("count table size", n_max, COUNT_TABLES_BUDGET)
     d, c, b = _seed_tables(min(n_max, 6))
     for n in range(7, n_max + 1):
         b.append(d[n - 7])
@@ -89,7 +92,7 @@ def count_tables(n_max: int) -> CountTables:
     return CountTables(d, c, b)
 
 
-def _sweep(top: int, budget: int, cache: QuiltCache, *, exact: bool) -> int:
+def _sweep(top: int, budget: int, *, exact: bool) -> int:
     """Legal index sets over 1..top summing to exactly ``budget`` (``exact``)
     or to at most ``budget`` (not ``exact``).
 
@@ -99,7 +102,7 @@ def _sweep(top: int, budget: int, cache: QuiltCache, *, exact: bool) -> int:
     more) and is counted at once.  A bounded state with at least ``below``
     left fits every completion, so its budget becomes None.
     """
-    q = [0, *cache.terms(top + 4)]  # q[i] = q_i
+    q = [0, *shared_cache().terms(top + 4)]  # q[i] = q_i
     states: dict[tuple[int | None, int, bool], int] = {(budget, 0, False): 1}
     hit = 0
     for i in range(top, 0, -1):
@@ -126,7 +129,7 @@ def _sweep(top: int, budget: int, cache: QuiltCache, *, exact: bool) -> int:
     return hit + sum(states.values())
 
 
-def count_decompositions(m: int, cache: QuiltCache | None = None) -> int:
+def count_decompositions(m: int) -> int:
     """Exact number of FQ-legal index sets summing to ``m`` (m = 0 counts 1).
 
     One downward sweep of the occupancy automaton from the largest index
@@ -140,20 +143,19 @@ def count_decompositions(m: int, cache: QuiltCache | None = None) -> int:
         raise ValueError(f"m must be >= 0, got {m}")
     if m == 0:
         return 1
-    cache = cache or shared_cache()
-    return _sweep(cache.index_of_largest_leq(m), m, cache, exact=True)
+    return _sweep(shared_cache().index_of_largest_leq(m), m, exact=True)
 
 
-def _filtered_subset_total(n: int, cache: QuiltCache) -> int:
+def _filtered_subset_total(n: int) -> int:
     """Number of legal subsets with value below q_{n+1}.
 
     Indices above n need not be visited: any such summand is itself at least
     q_{n+1}, so the value filter would reject the subset anyway.
     """
-    return _sweep(n, cache.term(n + 1) - 1, cache, exact=False)
+    return _sweep(n, shared_cache().term(n + 1) - 1, exact=False)
 
 
-def average_decompositions(n: int, budget: int = AVERAGE_BUDGET) -> AverageReport:
+def average_decompositions(n: int) -> AverageReport:
     """Exact mean of the per-integer decomposition count over [0, q_{n+1}).
 
     Computed by counting legal subsets whose value stays below q_{n+1}
@@ -162,13 +164,13 @@ def average_decompositions(n: int, budget: int = AVERAGE_BUDGET) -> AverageRepor
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > budget:
-        raise BudgetExceededError("average enumeration index", n, budget)
+    if n > AVERAGE_BUDGET:
+        raise BudgetExceededError("average enumeration index", n, AVERAGE_BUDGET)
     cache = shared_cache()
-    total = _filtered_subset_total(n, cache)
+    total = _filtered_subset_total(n)
     average = Fraction(total, cache.term(n + 1))
     exponent = None
     if n >= 2:
-        prev = Fraction(_filtered_subset_total(n - 1, cache), cache.term(n))
+        prev = Fraction(_filtered_subset_total(n - 1), cache.term(n))
         exponent = float(average / prev)
     return AverageReport(n=n, total=total, average=average, exponent_estimate=exponent)

@@ -79,12 +79,12 @@ def _count_polynomial(params: SBParams, n: int) -> list[int]:
     return out
 
 
-def summand_distribution(params: SBParams, n: int, budget: int = DISTRIBUTION_BUDGET) -> SummandDistribution:
+def summand_distribution(params: SBParams, n: int) -> SummandDistribution:
     """Exact distribution of the summand count; totals a_{bn+1} by construction."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > budget:
-        raise BudgetExceededError("distribution bin count", n, budget)
+    if n > DISTRIBUTION_BUDGET:
+        raise BudgetExceededError("distribution bin count", n, DISTRIBUTION_BUDGET)
     poly = _count_polynomial(params, n)
     total = sum(poly)
     expected_total = generate(params, params.b * n + 1).term(params.b * n + 1)

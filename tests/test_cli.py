@@ -176,6 +176,23 @@ class TestNormalize:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("seq", "quilt", "--count", "3000000"),
+        ("seq", "generacci", "--s", "1000000000", "--b", "1000000000", "--count", "1"),
+        ("decompose", "generacci", "--s", "1000000000", "--b", "1000000000", "--m", "5"),
+        ("tables", "quilt-count", "--n", "300000"),
+        ("greedy", "ratio", "--n", "200000"),
+    ],
+)
+def test_oversized_request_is_refused_before_allocating(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "budget" in err
+
+
 class TestHarness:
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genquilt.generacci import (
     Decomposition,
@@ -178,6 +180,14 @@ class TestDecompose:
         cache = generate(params, 1)
         m = 10**30
         dec = decompose(cache, m)
+        assert dec.total == m
+        assert is_legal_sb(params, dec.indices)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(min_value=0, max_value=10**40))
+    def test_legal_and_sums_at_large_m(self, s, b, m):
+        params = SBParams(s, b)
+        dec = decompose(generate(params, 1), m)
         assert dec.total == m
         assert is_legal_sb(params, dec.indices)
 

@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from genquilt import oracle
 from genquilt.errors import BudgetExceededError
 from genquilt.greedy import (
     greedy6_decompose,
@@ -163,6 +166,16 @@ class TestGreedy6:
         cond1, cond2 = structure_conditions(dec)
         assert cond1 != cond2
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=1, max_value=10**40))
+    def test_normal_form_of_greedy_at_large_m(self, m):
+        dec = greedy6_decompose(m)
+        assert normalize_to_greedy6(greedy_decompose(m).decomposition.indices).final == dec
+        assert dec.total == m
+        assert is_fq_legal(dec.indices)
+        cond1, cond2 = structure_conditions(dec)
+        assert cond1 != cond2
+
     def test_structured_decomposition_reconstructs(self):
         # the converse: ANY index set matching one of the two shapes is the
         # greedy-6 decomposition of its own value; build such sets directly
@@ -200,7 +213,7 @@ class TestMinSummands:
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
-            min_summands(1001, budget=1000)
+            min_summands(oracle.MIN_SUMMANDS_BUDGET + 1)
 
     def test_equals_greedy6_count(self):
         table = min_summands_table(10**4)
