@@ -2,21 +2,26 @@
 
 Polynomials carry exact integer coefficients; the dominant positive root is
 isolated by sign-change scan and exact rational bisection (the bracket is a
-certificate), then polished by Newton steps inside the bracket.  Remaining
-root moduli come from deflation and a Durand-Kerner iteration run at twice
-the requested precision, seeded on a circle inside the Cauchy bound.
+certificate), then polished by Newton steps inside the bracket.  The other
+roots come from one Durand-Kerner iteration in double precision, seeded
+evenly on the circle of the Fujiwara bound.  The (s,b) rate r^{1/b} takes
+its error bound from the exact bracket of r, and leading-constant fits are
+exact integer ratios rounded once, so nothing depends on a working precision.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-import mpmath as mp
-
+from .errors import BudgetExceededError
 from .generacci import SBParams
+
+ROOT_DEGREE_BUDGET = 256  # degree s+1 of the (s,b) bin-level polynomial
+_DK_STEPS = 500  # Durand-Kerner sweeps before the roots count as unconverged
 
 
 @dataclass(frozen=True)
@@ -122,36 +127,6 @@ class LeadingConstantFit(NamedTuple):
     residual: float
 
 
-def resultant(p: Polynomial, q: Polynomial) -> int:
-    """Exact resultant via the Sylvester matrix (Fraction elimination)."""
-    n, m = p.degree, q.degree
-    size = n + m
-    rows: list[list[Fraction]] = []
-    pc = list(reversed(p.coeffs))
-    qc = list(reversed(q.coeffs))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + [Fraction(c) for c in pc] + [Fraction(0)] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([Fraction(0)] * i + [Fraction(c) for c in qc] + [Fraction(0)] * (size - m - 1 - i))
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if rows[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, size):
-            f = rows[r][col] * inv
-            if f:
-                for c in range(col, size):
-                    rows[r][c] -= f * rows[col][c]
-    assert det.denominator == 1
-    return det.numerator
-
-
 def dominant_root_bracket(
     p: Polynomial, tol: Fraction | float, scan_bound: int | None = None
 ) -> tuple[Fraction, Fraction]:
@@ -195,60 +170,39 @@ def dominant_root_bracket(
     return lo, hi
 
 
-def _working_dps(tol: float) -> int:
-    # twice the requested precision, floor of 30 digits
-    return max(30, int(2 * -math.log10(tol)) + 10)
+def complex_roots(p: Polynomial) -> list[complex]:
+    """All roots of ``p`` in double precision, by Durand-Kerner on ``p`` itself.
+
+    The seeds sit evenly on the circle of the Fujiwara bound, which encloses
+    every root.  A run that does not settle within its step cap, or leaves
+    the finite floats, raises ``ArithmeticError`` rather than return
+    meaningless roots.
+    """
+    n = p.degree
+    lead = p.coeffs[-1]
+    radius = 2 * max(abs(p.coeffs[n - k] / lead) ** (1 / k) for k in range(1, n + 1))
+    roots = [cmath.rect(radius, 2 * math.pi * (k + 0.25) / n) for k in range(n)]
+    for _ in range(_DK_STEPS):
+        shift = 0.0
+        for i, w in enumerate(roots):
+            den = lead
+            for j, v in enumerate(roots):
+                if j != i:
+                    den *= w - v
+            delta = p(w) / den
+            roots[i] = w - delta
+            shift = max(shift, abs(delta))
+        if not all(map(cmath.isfinite, roots)):
+            break
+        if shift <= 1e-15 * radius:
+            return roots
+    raise ArithmeticError(f"roots of {p} did not converge")
 
 
-def _deflate(coeffs: Sequence, root):
-    """Synthetic division by (x - root); drops the remainder."""
-    out = []
-    acc = mp.mpc(0)
-    for c in reversed(list(coeffs)):
-        acc = acc * root + c
-        out.append(acc)
-    return list(reversed(out[:-1]))  # quotient has the remainder stripped
-
-
-def _durand_kerner(coeffs: Sequence, dps: int) -> list:
-    """All complex roots of a monic-izable polynomial at ``dps`` digits."""
-    with mp.workdps(dps):
-        lead = coeffs[-1]
-        c = [mp.mpc(x) / lead for x in coeffs]
-        n = len(c) - 1
-        if n == 0:
-            return []
-        cauchy = 1 + max(abs(x) for x in c[:-1])
-        seed = mp.mpc("0.4", "0.9")
-        roots = [0.7 * cauchy * seed ** k for k in range(n)]
-        descending = list(reversed(c))
-        eps = mp.mpf(10) ** (-dps + 5)
-        for _ in range(400):
-            shift = mp.mpf(0)
-            new = []
-            for i, w in enumerate(roots):
-                num = mp.polyval(descending, w)
-                den = mp.mpf(1)
-                for j, v in enumerate(roots):
-                    if j != i:
-                        den *= w - v
-                delta = num / den
-                shift = max(shift, abs(delta))
-                new.append(w - delta)
-            roots = new
-            if shift < eps:
-                break
-        return roots
-
-
-def _secondary_modulus(p: Polynomial, dominant: Fraction, tol: float) -> float:
-    dps = _working_dps(tol)
-    if p.degree == 1:
-        return 0.0
-    with mp.workdps(dps):
-        deflated = _deflate(p.coeffs, mp.mpf(dominant.numerator) / dominant.denominator)
-        rest = _durand_kerner(deflated, dps)
-        return float(max(abs(r) for r in rest))
+def _secondary_modulus(p: Polynomial, dominant: float) -> float:
+    """Largest modulus among the roots other than the one nearest ``dominant``."""
+    rest = sorted(complex_roots(p), key=lambda z: abs(z - dominant))[1:]
+    return max((abs(z) for z in rest), default=0.0)
 
 
 def dominant_root(p: Polynomial, tol: float = 1e-12) -> RootReport:
@@ -262,12 +216,11 @@ def dominant_root(p: Polynomial, tol: float = 1e-12) -> RootReport:
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     lo, hi = dominant_root_bracket(p, Fraction(tol))
-    mid = (lo + hi) / 2
-    root = _newton_polish(p, mid, lo, hi)
+    root = _newton_polish(p, (lo + hi) / 2, lo, hi)
     return RootReport(
         dominant_root=root,
         error_bound=float(hi - lo),
-        secondary_modulus=_secondary_modulus(p, mid, tol),
+        secondary_modulus=_secondary_modulus(p, root),
     )
 
 
@@ -285,37 +238,42 @@ def _newton_polish(p: Polynomial, x0: Fraction, lo: Fraction, hi: Fraction) -> f
     return x
 
 
+def aux_is_square_free(params: SBParams) -> bool:
+    """Whether y^{s+1} - y^s - b has only simple roots, decided exactly.
+
+    The derivative is y^{s-1}((s+1)y - s), so a repeated root can only be
+    0 or s/(s+1).
+    """
+    aux = generacci_aux(params)
+    return aux(0) != 0 and aux(Fraction(params.s, params.s + 1)) != 0
+
+
 def generacci_char_analysis(params: SBParams, tol: float = 1e-12) -> RootReport:
     """Dominant root of the (s,b) system via the bin-level polynomial.
 
-    Solves y^{s+1} - y^s - b for its unique positive root r (which lies in
+    Brackets the unique positive root r of y^{s+1} - y^s - b (it lies in
     (1, b+2): the value at 1 is -b and at b+1 is positive) and reports
-    r^{1/b}.  Checks square-freeness exactly via the resultant with the
-    derivative, and r > 1 via the bracket.
+    lambda = r^{1/b}.  On y >= 1 the map y -> y^{1/b} has slope at most 1/b,
+    so the bracket width divided by b bounds the error of lambda.  Checks
+    square-freeness exactly, and r > 1 via the bracket.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if params.s + 1 > ROOT_DEGREE_BUDGET:
+        raise BudgetExceededError("(s,b) root degree", params.s + 1, ROOT_DEGREE_BUDGET)
     aux = generacci_aux(params)
-    if resultant(aux, aux.derivative()) == 0:
+    if not aux_is_square_free(params):
         raise ArithmeticError(f"repeated root in {aux}")  # impossible for b >= 1
-    # bracket the y-root at half the tolerance so the root-of-root bound
-    # stays within tol even for b = 1
-    lo, hi = dominant_root_bracket(aux, Fraction(tol) / 2, params.b + 2)
-    assert lo >= 1
     b = params.b
-    dps = _working_dps(tol)
-    with mp.workdps(dps):
-        r_lo = mp.mpf(lo.numerator) / lo.denominator
-        r_hi = mp.mpf(hi.numerator) / hi.denominator
-        lam_lo = r_lo ** (mp.mpf(1) / b)
-        lam_hi = r_hi ** (mp.mpf(1) / b)
-        lam = float((lam_lo + lam_hi) / 2)
-        err = float(lam_hi - lam_lo) + float(hi - lo) * 1e-6
-    sec_y = _secondary_modulus(aux, (lo + hi) / 2, tol)
+    # bracket the y-root at half the tolerance so the bound stays within tol
+    # even for b = 1
+    lo, hi = dominant_root_bracket(aux, Fraction(tol) / 2, b + 2)
+    assert lo >= 1
+    mid = float((lo + hi) / 2)
     return RootReport(
-        dominant_root=lam,
-        error_bound=err,
-        secondary_modulus=sec_y ** (1.0 / b),
+        dominant_root=mid ** (1 / b),
+        error_bound=float(hi - lo) / b,
+        secondary_modulus=_secondary_modulus(aux, mid) ** (1 / b),
     )
 
 
@@ -327,7 +285,8 @@ def fit_leading_constant(
     ``stride`` should be b for an (s,b) sequence (the constant depends on the
     residue of n mod b; the class of the final index is used) and 1 for the
     quilt and count sequences.  The residual is the spread of the ratios
-    across the quartile, an empirical convergence check.
+    across the quartile, an empirical convergence check.  The ratios are
+    exact rationals, each rounded once to a float.
     """
     n_terms = len(terms)
     if n_terms < 20:
@@ -336,14 +295,16 @@ def fit_leading_constant(
         raise ValueError(f"lambda1 must exceed 1, got {lambda1}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    dps = max(30, int(n_terms * math.log10(lambda1)) + 20)
     start = max(1, (3 * n_terms) // 4)
-    with mp.workdps(dps):
-        lam = mp.mpf(lambda1)
-        ratios = [
-            mp.mpf(terms[n - 1]) / lam ** n
-            for n in range(n_terms, start - 1, -stride)
-        ]
-        value = float(ratios[0])  # ratio at the largest index, best converged
-        residual = float(max(ratios) - min(ratios))
-    return LeadingConstantFit(value, residual)
+    # lambda1 = a / 2^k exactly, so terms[n-1] / lambda1^n = x_n / a^N with
+    # x_n = terms[n-1] * a^(N-n) * 2^(kn) an integer
+    a, two_k = lambda1.as_integer_ratio()
+    k = two_k.bit_length() - 1
+    a_stride, a_power = a**stride, 1
+    scaled = []
+    for n in range(n_terms, start - 1, -stride):
+        scaled.append((terms[n - 1] * a_power) << (k * n))
+        a_power *= a_stride
+    denom = a**n_terms
+    # ratio at the largest index, best converged; int / int rounds correctly
+    return LeadingConstantFit(scaled[0] / denom, (max(scaled) - min(scaled)) / denom)

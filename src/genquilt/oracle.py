@@ -3,20 +3,23 @@
 Everything here exists to be obviously correct rather than fast: sequences
 rebuilt from their literal definitions by scanning for the smallest
 non-representable integer, exhaustive legal-subset enumeration, a
-depth-first decomposition counter, and a plain coin-change DP for minimal
-summand counts.  Closed-form generators and counting recurrences are
-validated against these; only the legality predicates are shared (and those
-are differentially tested on both sides).
+depth-first decomposition counter, a plain coin-change DP for minimal
+summand counts, and a Sylvester-matrix resultant.  Closed-form generators,
+counting recurrences and exact shortcuts are validated against these; only
+the legality predicates are shared (and those are differentially tested on
+both sides).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Literal
 
 from . import generacci as g
 from . import quilt as q
 from .errors import BudgetExceededError
+from .numerics import Polynomial
 
 Kind = g.SBParams | Literal["quilt"]
 
@@ -185,3 +188,33 @@ def min_summands_dp(m: int) -> int:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     return min_summands_table(m)[m]
+
+
+def resultant(p: Polynomial, q: Polynomial) -> int:
+    """Exact resultant via the Sylvester matrix (Fraction elimination)."""
+    n, m = p.degree, q.degree
+    size = n + m
+    rows: list[list[Fraction]] = []
+    pc = list(reversed(p.coeffs))
+    qc = list(reversed(q.coeffs))
+    for i in range(m):
+        rows.append([Fraction(0)] * i + [Fraction(c) for c in pc] + [Fraction(0)] * (size - n - 1 - i))
+    for i in range(n):
+        rows.append([Fraction(0)] * i + [Fraction(c) for c in qc] + [Fraction(0)] * (size - m - 1 - i))
+    det = Fraction(1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        inv = 1 / rows[col][col]
+        for r in range(col + 1, size):
+            f = rows[r][col] * inv
+            if f:
+                for c in range(col, size):
+                    rows[r][c] -= f * rows[col][c]
+    assert det.denominator == 1
+    return det.numerator

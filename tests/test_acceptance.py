@@ -22,7 +22,7 @@ from genquilt.greedy import (
     success_ratio_limit,
     success_table,
 )
-from genquilt.numerics import count_char, dominant_root, fit_leading_constant, quilt_char
+from genquilt.numerics import count_char, dominant_root, dominant_root_bracket, fit_leading_constant, quilt_char
 from genquilt.oracle import enumerate_legal, min_summands_table
 from genquilt.quilt import is_fq_legal, quilt_terms
 from genquilt.quilt_count import average_decompositions, count_decompositions, count_tables
@@ -209,6 +209,18 @@ def test_criterion_10_average_growth():
             assert rep.average <= Fraction(tables.d[rep.n], cache.term(rep.n + 1))
         for rep in reports[19:]:
             assert abs(rep.exponent_estimate - 1.05459) <= 0.02, rep.n
+
+
+def test_growth_ratio_bracket_is_certified():
+    # criterion 10's ratio is exactly lambda_count / lambda_quilt; the two
+    # exact root brackets bound it, here to 20 correct decimal places
+    lo_c, hi_c = dominant_root_bracket(count_char(), Fraction(1, 10**30))
+    lo_q, hi_q = dominant_root_bracket(quilt_char(), Fraction(1, 10**30))
+    lo, hi = lo_c / hi_q, hi_c / lo_q
+    assert hi - lo < Fraction(1, 10**29)
+    ratio = Fraction("1.05459072831794085654")
+    half_unit = Fraction(1, 2 * 10**20)
+    assert ratio - half_unit <= lo < hi <= ratio + half_unit
 
 
 def test_criterion_11_identity_suites():

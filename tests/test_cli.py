@@ -184,6 +184,7 @@ class TestNormalize:
         ("decompose", "generacci", "--s", "1000000000", "--b", "1000000000", "--m", "5"),
         ("tables", "quilt-count", "--n", "300000"),
         ("greedy", "ratio", "--n", "200000"),
+        ("roots", "generacci", "--s", "100000", "--b", "1"),
     ],
 )
 def test_oversized_request_is_refused_before_allocating(capsys, argv):
@@ -212,6 +213,18 @@ class TestHarness:
         code, out, _ = run(capsys, "seq", "quilt", "--count", "3", "--format", "csv")
         assert code == 0
         assert "\r" not in out
+
+    def test_import_needs_no_mpmath(self):
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        code = "import sys, genquilt.cli; print('mpmath' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == b"False\n"
 
     def test_reader_closing_pipe_early_is_not_an_error(self):
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))

@@ -9,6 +9,8 @@ import pytest
 from genquilt.generacci import SBParams, generate
 from genquilt.numerics import (
     Polynomial,
+    aux_is_square_free,
+    complex_roots,
     count_char,
     count_char_full,
     dominant_root,
@@ -20,8 +22,8 @@ from genquilt.numerics import (
     greedy_aux_char,
     monomial_poly,
     quilt_char,
-    resultant,
 )
+from genquilt.oracle import resultant
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -129,13 +131,25 @@ class TestDominantRoot:
 
     def test_matches_independent_solver(self):
         # cross-check Durand-Kerner + bisection against mpmath's polyroots
-        for poly in (quilt_char(), count_char(), greedy_aux_char()):
+        sb_params = [SBParams(s, b) for s in (1, 2, 3) for b in (1, 2, 3)] + [SBParams(120, 1000)]
+        for poly in (quilt_char(), count_char(), greedy_aux_char(), *map(generacci_aux, sb_params)):
             rep = dominant_root(poly, 1e-12)
+            # From its own seeds mpmath needs about 30 s at degree 121.  Started
+            # from the double-precision roots it needs a few steps, and its
+            # iteration rests only on the full root set, so it still checks them.
+            init = complex_roots(poly) if poly.degree > 10 else None
             with mp.workdps(30):
-                roots = mp.polyroots(list(reversed(poly.coeffs)))
+                roots = mp.polyroots(list(reversed(poly.coeffs)), maxsteps=100, extraprec=20, roots_init=init)
                 by_mod = sorted((abs(r) for r in roots), reverse=True)
                 assert rep.dominant_root == pytest.approx(float(by_mod[0]), abs=1e-11)
-                assert rep.secondary_modulus == pytest.approx(float(by_mod[1]), abs=1e-9)
+                assert rep.secondary_modulus == pytest.approx(float(by_mod[1]), abs=1e-12)
+
+    def test_root_finder_never_returns_nan(self):
+        # w^200 overflows a double on the seed circle; the finder must refuse
+        with pytest.raises(ArithmeticError):
+            complex_roots(monomial_poly((200, 1), (0, -(10**300))))
+        with pytest.raises(ArithmeticError):
+            dominant_root(monomial_poly((200, 1), (0, -(10**300))), 1e-9)
 
 
 class TestGeneracciAnalysis:
@@ -165,8 +179,10 @@ class TestGeneracciAnalysis:
                 signs = [c for c in aux.coeffs if c]
                 changes = sum(1 for x, y in zip(signs, signs[1:]) if x * y < 0)
                 assert changes == 1
-                # square-free, exactly (resultant of q and q' nonzero)
+                # square-free, exactly (resultant of q and q' nonzero), and
+                # the two-point check agrees with the resultant
                 assert resultant(aux, aux.derivative()) != 0
+                assert aux_is_square_free(params)
                 rep = generacci_char_analysis(params, 1e-10)
                 assert rep.dominant_root > 1
                 assert rep.secondary_modulus < rep.dominant_root
@@ -179,6 +195,18 @@ class TestGeneracciAnalysis:
             full = dominant_root(generacci_char(params), 1e-10)
             via_aux = generacci_char_analysis(params, 1e-10)
             assert full.dominant_root == pytest.approx(via_aux.dominant_root, abs=1e-9)
+
+    def test_error_bound_holds_for_the_returned_root(self):
+        # the full polynomial changes sign across root +- (bound + 2 ulp);
+        # a float cannot come nearer the root than its own spacing
+        for s in range(1, 5):
+            for b in range(1, 5):
+                full = generacci_char(SBParams(s, b))
+                for tol in (1e-4, 1e-9, 1e-13, 1e-30, 1e-60):
+                    rep = generacci_char_analysis(SBParams(s, b), tol)
+                    slack = Fraction(rep.error_bound) + 2 * Fraction(math.ulp(rep.dominant_root))
+                    root = Fraction(rep.dominant_root)
+                    assert full(root - slack) < 0 < full(root + slack), (s, b, tol)
 
     def test_analysis_refinement_is_monotone(self):
         tol = 1e-4
@@ -225,6 +253,15 @@ class TestLeadingConstantFit:
         fit = fit_leading_constant(terms, r1, 1)
         assert fit.value > 0
         assert fit.residual < 1e-4
+
+    def test_matches_exact_rationals_rounded_once(self):
+        params = SBParams(1, 2)
+        lam = generacci_char_analysis(params, 1e-12).dominant_root
+        terms = generate(params, 90).terms(90)
+        ratios = [Fraction(terms[n - 1]) / Fraction(lam) ** n for n in range(90, 67, -2)]
+        fit = fit_leading_constant(terms, lam, stride=2)
+        assert fit.value == float(ratios[0])
+        assert fit.residual == float(max(ratios) - min(ratios))
 
     def test_lambda_must_exceed_one(self):
         with pytest.raises(ValueError):
