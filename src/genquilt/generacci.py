@@ -95,9 +95,15 @@ class RecurrenceCache:
         return self
 
     def ensure_value(self, value: int) -> "RecurrenceCache":
-        """Grow until the last cached term exceeds ``value``."""
+        """Grow until the last cached term exceeds ``value``.
+
+        Raises BudgetExceededError rather than grow past TERMS_BUDGET terms
+        beyond the recurrence's depth, so a wide seed does not use it up.
+        """
         t = self._terms
         while t[-1] <= value:
+            if len(t) >= self._far + TERMS_BUDGET:  # checked only while growing
+                raise BudgetExceededError("sequence length to pass m", f"more than {len(t)}", len(t))
             t.append(t[-self._near] + self._coeff * t[-self._far])
         return self
 

@@ -16,8 +16,10 @@ step strictly decreases.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import neg
 from typing import Iterable
 
 from . import oracle
@@ -27,6 +29,11 @@ from .quilt import is_fq_legal, shared_cache
 
 SIMULATION_BUDGET = 25
 SUCCESS_TABLE_BUDGET = 10**4  # each rho_n reduces a fraction of about n/8 digits
+#: Most parts normalize_to_greedy6 takes: a trace holds about as many steps as
+#: parts, each a tuple of up to that many indices, so its size is quadratic.
+NORMALIZE_PARTS_BUDGET = 2000
+#: Largest index normalize_to_greedy6 takes; q_i has about i/8 digits.
+NORMALIZE_INDEX_BUDGET = 10**4
 
 
 @dataclass(frozen=True)
@@ -159,83 +166,83 @@ def min_summands(m: int) -> int:
 #   3: q_n + q_{n-2}    -> q_{n+1} + q_{n-5}   (n >= 8, small cases below)
 #   4: q_n + q_{n-3}    -> q_{n+1} + q_{n-8}   (n >= 10, small cases below)
 #   5: q_n + q_{n-4}    -> q_{n+1}             (n >= 6; (5,1) has no move)
+# plus the terminal swap q_5 + q_1 -> q_4 + q_2, named "tail".
 #
-# Small-case tables; None as second output index means the move merges two
-# summands into one.  The (5,3) case is q_6 + q_1: the sums 5 + 3 and 7 + 1
-# are both 8, and sum preservation is non-negotiable here.
-_SMALL_1 = {6: (8, 2), 5: (7, 1), 4: (6, 1), 3: (5, 1), 2: (4, None), 1: (2, None)}
-_SMALL_3 = {7: (8, 2), 6: (7, 2), 5: (6, 1), 4: (5, 1), 3: (4, None)}
-_SMALL_4 = {9: (10, 2), 8: (9, 1), 7: (8, 1), 6: (7, 1), 5: (6, None), 4: (5, None)}
+# Small-case tables of the indices added; a one-element entry means the move
+# merges two summands into one.  The (5,3) case is q_6 + q_1: the sums 5 + 3
+# and 7 + 1 are both 8, and sum preservation is non-negotiable here.
+#
+# Each step is checked locally.  A move removes a fixed pair of indices and
+# adds a fixed one- or two-index tuple, and the rest of the multiset is left
+# alone.  So the whole-multiset sum is unchanged exactly when the removed
+# terms sum to the added ones.  Likewise the measure (summand count, index
+# sum, count of indices in {2..5}) changes by the added tuple's measure minus
+# the removed pair's, so it shrinks lexicographically exactly when the added
+# tuple's measure is below the removed pair's.
+_SMALL_1 = {6: (8, 2), 5: (7, 1), 4: (6, 1), 3: (5, 1), 2: (4,), 1: (2,)}
+_SMALL_3 = {7: (8, 2), 6: (7, 2), 5: (6, 1), 4: (5, 1), 3: (4,)}
+_SMALL_4 = {9: (10, 2), 8: (9, 1), 7: (8, 1), 6: (7, 1), 5: (6,), 4: (5,)}
 
 
-def _apply_move(move: int, n: int, counts: dict[int, int]) -> None:
-    def sub(i: int, k: int = 1) -> None:
-        counts[i] -= k
-        if not counts[i]:
-            del counts[i]
-
-    def add(i: int | None) -> None:
-        if i is not None:
-            counts[i] = counts.get(i, 0) + 1
-
-    if move == 1:
-        sub(n, 2)
-        hi, lo = (n + 2, n - 5) if n >= 7 else _SMALL_1[n]
-        add(hi)
-        add(lo)
-    elif move == 2:
-        sub(n)
-        sub(n - 1)
-        add(n + 2 if n >= 3 else 3)
-    elif move == 3:
-        sub(n)
-        sub(n - 2)
-        hi, lo = (n + 1, n - 5) if n >= 8 else _SMALL_3[n]
-        add(hi)
-        add(lo)
-    elif move == 4:
-        sub(n)
-        sub(n - 3)
-        hi, lo = (n + 1, n - 8) if n >= 10 else _SMALL_4[n]
-        add(hi)
-        add(lo)
-    else:
-        sub(n)
-        sub(n - 4)
-        add(n + 1)
+def _move_parts(move: str, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The indices ``move`` at anchor n removes, and the indices it adds."""
+    if move == "1":
+        return (n, n), (n + 2, n - 5) if n >= 7 else _SMALL_1[n]
+    if move == "2":
+        return (n, n - 1), (n + 2 if n >= 3 else 3,)
+    if move == "3":
+        return (n, n - 2), (n + 1, n - 5) if n >= 8 else _SMALL_3[n]
+    if move == "4":
+        return (n, n - 3), (n + 1, n - 8) if n >= 10 else _SMALL_4[n]
+    if move == "5":
+        return (n, n - 4), (n + 1,)
+    return (5, 1), (4, 2)  # "tail": both pairs sum to 6; the legal shape is (4, 2)
 
 
-def _measure(counts: dict[int, int]) -> tuple[int, int, int]:
-    return (
-        sum(counts.values()),
-        sum(i * c for i, c in counts.items()),
-        sum(c for i, c in counts.items() if 2 <= i <= 5),
-    )
+_TWO_TO_FIVE = frozenset(range(2, 6))
 
 
-def _find_move(counts: dict[int, int], scan_from: int) -> tuple[int, int] | None:
+def _measure(parts: tuple[int, ...]) -> tuple[int, int, int]:
+    return len(parts), sum(parts), sum(map(_TWO_TO_FIVE.__contains__, parts))
+
+
+def _find_move(counts: dict[int, int], scan_from: int) -> tuple[str, int] | None:
     """First applicable (move, anchor), scanning anchors from the top down."""
     for n in range(scan_from, 0, -1):
         if n not in counts:
             continue
         if counts[n] >= 2:
-            return 1, n
+            return "1", n
         if n >= 2 and n - 1 in counts:
-            return 2, n
+            return "2", n
         if n >= 3 and n - 2 in counts:
-            return 3, n
+            return "3", n
         if n >= 4 and n - 3 in counts:
-            return 4, n
+            return "4", n
         if n >= 6 and n - 4 in counts:
-            return 5, n
+            return "5", n
     return None
 
 
-def _multiset_tuple(counts: dict[int, int]) -> tuple[int, ...]:
-    out: list[int] = []
-    for i in sorted(counts, reverse=True):
-        out.extend([i] * counts[i])
-    return tuple(out)
+def _step(move: str, n: int, counts: dict[int, int], terms: list[int], before: tuple[int, ...]) -> MoveStep:
+    """Apply one move to ``counts`` and to the sorted tuple ``before``, checked."""
+    gone, new = _move_parts(move, n)
+    for i in gone:
+        counts[i] -= 1
+        if not counts[i]:
+            del counts[i]
+    after = list(before)
+    for i in gone:
+        del after[bisect_left(after, -i, key=neg)]
+    for i in new:
+        counts[i] = counts.get(i, 0) + 1
+        insort(after, i, key=neg)
+    step = MoveStep(move, before, tuple(after))
+    if sum(map(terms.__getitem__, gone)) != sum(map(terms.__getitem__, new)):
+        raise AssertionError(f"move {move} at {n} changed the sum: {before} -> {step.after}")
+    if move != "tail" and not _measure(new) < _measure(gone):
+        raise AssertionError(f"move {move} at {n} did not shrink the measure")
+    return step
 
 
 def normalize_to_greedy6(indices: Iterable[int]) -> MoveTrace:
@@ -245,65 +252,56 @@ def normalize_to_greedy6(indices: Iterable[int]) -> MoveTrace:
     index down, move numbers tried in order at each anchor.  A move at anchor
     n creates nothing above n + 2 and cannot wake any anchor above n + 6, so
     the scan restarts there instead of at the top.  The terminal (5,1) ->
-    (4,2) swap runs only once no move applies.  Every step is checked to
-    preserve the sum and strictly shrink the termination measure.
+    (4,2) swap runs only once no move applies.
+
+    Every step is checked in exact arithmetic against the pair of index
+    tuples it swaps: the removed and added terms must have equal sums (which
+    is the same as the whole multiset keeping its sum), and every step but
+    the tail must strictly shrink the termination measure.  A failed check
+    raises AssertionError.  Each step's ``after`` tuple is its ``before``
+    tuple with the moved indices taken out and put in, and is the next
+    step's ``before``.
+
+    Inputs of more than NORMALIZE_PARTS_BUDGET parts, or with an index above
+    NORMALIZE_INDEX_BUDGET, raise BudgetExceededError before any move runs.
     """
+    parts = tuple(sorted(indices, reverse=True))
+    if len(parts) > NORMALIZE_PARTS_BUDGET:
+        raise BudgetExceededError("normalization parts", len(parts), NORMALIZE_PARTS_BUDGET)
+    if not parts:
+        return MoveTrace([], Decomposition((), ()))
+    if parts[-1] < 1:
+        raise ValueError(f"indices must be >= 1, got {parts[-1]}")
+    if parts[0] > NORMALIZE_INDEX_BUDGET:
+        raise BudgetExceededError("normalization index", parts[0], NORMALIZE_INDEX_BUDGET)
+
     cache = shared_cache()
     counts: dict[int, int] = {}
-    for i in indices:
-        if i < 1:
-            raise ValueError(f"indices must be >= 1, got {i}")
+    for i in parts:
         counts[i] = counts.get(i, 0) + 1
-    if not counts:
-        return MoveTrace([], Decomposition((), ()))
-
-    if all(c == 1 for c in counts.values()):
+    if len(counts) == len(parts):
         # Inputs already in normal form stay put.  Without this check the
         # raw move relation would take a (4,2) tail on a round trip through
         # (5,1) and back via the terminal swap.
-        idx = _multiset_tuple(counts)
-        dec = Decomposition(idx, tuple(cache.term(i) for i in idx))
+        dec = Decomposition(parts, tuple(map(cache.term, parts)))
         cond1, cond2 = structure_conditions(dec)
         if cond1 != cond2:
             return MoveTrace([], dec)
 
-    total = sum(cache.term(i) * c for i, c in counts.items())
+    # Each step keeps the sum, so no index ever present exceeds the largest
+    # index whose term fits in that sum, and a move adds at most two above its
+    # anchor: terms[i] is q_i for every index a step can touch.
+    top = cache.index_of_largest_leq(sum(map(cache.term, parts))) + 2
+    terms = [0, *cache.terms(top)]
     steps: list[MoveStep] = []
-    measure = _measure(counts)
-    scan_from = max(counts)
-    while True:
-        found = _find_move(counts, scan_from)
-        if found is None:
-            break
+    state = parts
+    scan_from = parts[0]
+    while (found := _find_move(counts, scan_from)) is not None:
         move, n = found
-        before = _multiset_tuple(counts)
-        _apply_move(move, n, counts)
-        after = _multiset_tuple(counts)
-        new_measure = _measure(counts)
-        new_total = sum(cache.term(i) * c for i, c in counts.items())
-        if new_total != total:
-            raise AssertionError(f"move {move} at {n} changed the sum: {before} -> {after}")
-        if not new_measure < measure:
-            raise AssertionError(f"move {move} at {n} did not shrink the measure")
-        measure = new_measure
-        steps.append(MoveStep(str(move), before, after))
-        scan_from = min(max(counts), n + 6)
-
+        steps.append(_step(move, n, counts, terms, state))
+        state = steps[-1].after
+        scan_from = n + 6
     if 5 in counts and 1 in counts:
-        before = _multiset_tuple(counts)
-        _apply_move_tail(counts)
-        steps.append(MoveStep("tail", before, _multiset_tuple(counts)))
-
-    final_idx = _multiset_tuple(counts)
-    final = Decomposition(final_idx, tuple(cache.term(i) for i in final_idx))
-    return MoveTrace(steps, final)
-
-
-def _apply_move_tail(counts: dict[int, int]) -> None:
-    # q_5 + q_1 = q_4 + q_2 = 6; legal tail shape wants (4, 2)
-    for i in (5, 1):
-        counts[i] -= 1
-        if not counts[i]:
-            del counts[i]
-    for i in (4, 2):
-        counts[i] = counts.get(i, 0) + 1
+        steps.append(_step("tail", 5, counts, terms, state))
+        state = steps[-1].after
+    return MoveTrace(steps, Decomposition(state, tuple(map(terms.__getitem__, state))))

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from genquilt.cli import main
+from genquilt.greedy import NORMALIZE_PARTS_BUDGET
 from genquilt.quilt import quilt_terms
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -185,6 +186,9 @@ class TestNormalize:
         ("tables", "quilt-count", "--n", "300000"),
         ("greedy", "ratio", "--n", "200000"),
         ("roots", "generacci", "--s", "100000", "--b", "1"),
+        ("normalize", "quilt", "--indices", ",".join(["1"] * (NORMALIZE_PARTS_BUDGET + 1))),
+        ("normalize", "quilt", "--indices", "3000000"),
+        ("decompose", "generacci", "--s", "1", "--b", "1000", "--m", str(10**3000)),
     ],
 )
 def test_oversized_request_is_refused_before_allocating(capsys, argv):

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genquilt.errors import BudgetExceededError
 from genquilt.generacci import (
+    TERMS_BUDGET,
     Decomposition,
     SBParams,
     bin_of,
@@ -180,6 +182,21 @@ class TestDecompose:
         cache = generate(params, 1)
         m = 10**30
         dec = decompose(cache, m)
+        assert dec.total == m
+        assert is_legal_sb(params, dec.indices)
+
+    def test_slow_growth_is_refused_at_the_terms_budget(self):
+        # (1, 1000) gains about 1.5 digits per 1000 terms, so 10^300 would
+        # need about 200,000 terms
+        cache = generate(SBParams(1, 1000), 1)
+        with pytest.raises(BudgetExceededError):
+            decompose(cache, 10**300)
+        assert len(cache) <= 2000 + TERMS_BUDGET
+
+    def test_wide_seed_does_not_use_up_the_terms_budget(self):
+        params = SBParams(1, TERMS_BUDGET)  # the seed alone is 2 * TERMS_BUDGET + 1 terms
+        m = 10 * params.seed_count
+        dec = decompose(generate(params, 1), m)
         assert dec.total == m
         assert is_legal_sb(params, dec.indices)
 

@@ -1,15 +1,19 @@
 """Greedy decompositions, success counts, Greedy-6, and the move system."""
 
+import functools
+import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genquilt import oracle
+from genquilt import greedy, oracle
 from genquilt.errors import BudgetExceededError
 from genquilt.greedy import (
+    NORMALIZE_INDEX_BUDGET,
     greedy6_decompose,
     greedy_decompose,
     greedy_failures,
@@ -325,3 +329,102 @@ class TestMoveSystem:
         trace = normalize_to_greedy6(parts)
         assert trace.final.total == m
         assert trace.final.indices == greedy6_decompose(m).indices
+
+
+def _random_parts(seed: int) -> list[int]:
+    rng = random.Random(seed)
+    return [rng.randint(1, 10) for _ in range(200)]
+
+
+# SHA-256 of repr((trace.steps, trace.final)), pinned so that the
+# deterministic move order and the trace tuples cannot drift.
+GOLDEN_TRACES = {
+    "seven_seven": ([7, 7], "7f376e0b294721020b1af11899af64f73cda7c2616cf621a0bd8faaec3d291ec"),
+    "mixed_small": (
+        [10, 10, 10, 3, 3, 2, 1, 1],
+        "ba24e77718e714a8df065c6a2f0c3a8183084cbe3a6ee6b788531d95dec90878",
+    ),
+    "thousand_ones": ([1] * 1000, "9ae4b73bb9267316aa00c8798e1de2d358f26b781e27249e5bcf67c2d27261ec"),
+    "heavy_mixed": (
+        [1] * 200 + [2] * 150 + [3] * 100 + [7] * 50 + [13] * 20,
+        "0a2c11acf26cd0be71e117a993fe01952ccc16b07c1c375b520363b02bc97e1e",
+    ),
+    "random200_1": (_random_parts(1), "37a88c9f2ea7b76e6b38bfb026482185c738475de79ef426a34124d96dee326b"),
+    "random200_2": (_random_parts(2), "a265da4b2bed8e9436bcb78fdc4c79863ff8ac64390a80404708234e68b76fd7"),
+    "random200_3": (_random_parts(3), "071eeaf9041ec708d44fd34c4cb8d8d49b83246ace8b0a88cff975e12c43dd8a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRACES))
+def test_golden_trace(name):
+    parts, digest = GOLDEN_TRACES[name]
+    trace = normalize_to_greedy6(parts)
+    assert hashlib.sha256(repr((trace.steps, trace.final)).encode()).hexdigest() == digest
+
+
+@functools.cache
+def _min_summands_to_1e4() -> list[int]:
+    return min_summands_table(10**4)
+
+
+def _whole_measure(parts) -> tuple[int, int, int]:
+    return len(parts), sum(parts), sum(1 for i in parts if 2 <= i <= 5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=300))
+def test_every_step_replays_against_whole_multiset_checks(parts):
+    # The engine checks each step on the indices it swaps; this replays the
+    # trace with the whole-multiset sum and measure as the reference.
+    cache = quilt_terms(45)
+
+    def value(multiset):
+        return sum(cache.term(i) for i in multiset)
+
+    m = value(parts)
+    trace = normalize_to_greedy6(parts)
+    prev = tuple(sorted(parts, reverse=True))
+    for step in trace.steps:
+        assert step.before == prev
+        assert value(step.after) == m
+        if step.move == "tail":
+            assert Counter(step.before) - Counter(step.after) == Counter((5, 1))
+            assert Counter(step.after) - Counter(step.before) == Counter((4, 2))
+        else:
+            assert _whole_measure(step.after) < _whole_measure(step.before)
+        prev = step.after
+    assert trace.final.indices == prev
+    assert trace.final == greedy6_decompose(m)
+    if m <= 10**4:
+        assert len(trace.final) == _min_summands_to_1e4()[m]
+
+
+class TestChecksAreReal:
+    def test_sum_changing_move_is_caught(self, monkeypatch):
+        # 2 q_6 = 14 = q_8 + q_2; a corrupted table entry adds q_8 + q_3 = 15
+        monkeypatch.setitem(greedy._SMALL_1, 6, (8, 3))
+        with pytest.raises(AssertionError, match="changed the sum"):
+            normalize_to_greedy6([6, 6])
+
+    def test_identity_move_is_caught(self, monkeypatch):
+        # Removing and re-adding the same indices keeps the sum but makes no
+        # progress.  Only the first move is corrupted, so an engine without
+        # the measure check finishes (and fails this test) instead of looping.
+        real = greedy._move_parts
+        calls = []
+
+        def identity_first(move, n):
+            calls.append(move)
+            gone, new = real(move, n)
+            return (gone, gone) if len(calls) == 1 else (gone, new)
+
+        monkeypatch.setattr(greedy, "_move_parts", identity_first)
+        with pytest.raises(AssertionError, match="did not shrink the measure"):
+            normalize_to_greedy6([7, 7])
+
+
+def test_index_over_budget_is_refused_before_growing_the_cache():
+    before = len(shared_cache())
+    with pytest.raises(BudgetExceededError):
+        normalize_to_greedy6([3, NORMALIZE_INDEX_BUDGET + 1])
+    assert len(shared_cache()) == before
