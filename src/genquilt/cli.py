@@ -72,6 +72,11 @@ def _cmd_seq(args, parser) -> dict:
         sb = _sb(args, parser)
         terms = generate(sb, args.count).terms(args.count)
         params = {"target": "generacci", "s": sb.s, "b": sb.b, "count": args.count}
+    # str() refuses ints past this many digits (0: no limit; the function
+    # is missing before Python 3.10.7, which has no limit either)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and terms[-1] >= 10**limit:
+        raise BudgetExceededError("term digits", f"more than {limit}", limit)
     rows = [{"n": n, "term": str(t)} for n, t in enumerate(terms, start=1)]
     return _record("seq", params, rows)
 

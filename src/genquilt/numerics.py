@@ -127,21 +127,22 @@ class LeadingConstantFit(NamedTuple):
     residual: float
 
 
-def dominant_root_bracket(
-    p: Polynomial, tol: Fraction | float, scan_bound: int | None = None
-) -> tuple[Fraction, Fraction]:
+def dominant_root_bracket(p: Polynomial, tol: Fraction | float) -> tuple[Fraction, Fraction]:
     """Certified bracket [lo, hi] around the unique root in (1, B], width <= tol.
 
-    Scans unit steps for a sign change (B defaults to the Cauchy bound), then
-    bisects with exact rational arithmetic, so the bracket is a proof.
+    Scans unit steps up to the Cauchy bound B for a sign change, then bisects
+    with exact rational arithmetic, so the bracket is a proof.
     """
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     lead = p.coeffs[-1]
-    if scan_bound is None:
-        scan_bound = 2 + max(abs(c) for c in p.coeffs[:-1]) // abs(lead)
-    sign_at = lambda x: (p(x) > 0) - (p(x) < 0)
+    scan_bound = 2 + max(abs(c) for c in p.coeffs[:-1]) // abs(lead)
+
+    def sign_at(x: Fraction) -> int:
+        value = p(x)
+        return (value > 0) - (value < 0)
+
     lo = Fraction(1)
     s_lo = sign_at(lo)
     if s_lo == 0:  # root exactly at 1 is out of scope (dominant root > 1)
@@ -266,8 +267,8 @@ def generacci_char_analysis(params: SBParams, tol: float = 1e-12) -> RootReport:
         raise ArithmeticError(f"repeated root in {aux}")  # impossible for b >= 1
     b = params.b
     # bracket the y-root at half the tolerance so the bound stays within tol
-    # even for b = 1
-    lo, hi = dominant_root_bracket(aux, Fraction(tol) / 2, b + 2)
+    # even for b = 1; the Cauchy bound scan covers (1, b+2]
+    lo, hi = dominant_root_bracket(aux, Fraction(tol) / 2)
     assert lo >= 1
     mid = float((lo + hi) / 2)
     return RootReport(

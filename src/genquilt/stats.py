@@ -1,11 +1,11 @@
 """Exact summand-count distributions for (s,b) systems and normality checks.
 
-Uniqueness of decompositions turns integer counting into decomposition
-counting, so the distribution of the summand count over [0, a_{bn+1}) is
-computed exactly by a dynamic program over bins: walk bins left to right,
-keep the (capped) distance to the last occupied bin, and let each occupied
-bin multiply the count by b and bump the summand count.  No interval
-enumeration is involved, so n in the hundreds stays cheap.
+Decompositions are unique, so counting the integers in [0, a_{bn+1}) with k
+summands is counting the legal k-summand choices over the first n bins.  A
+choice occupies k bins with at least s empty bins between neighbours and
+picks one of the b terms in each occupied bin.  Deleting the s(k-1) bins
+that the gaps force leaves k free bins among n - s(k-1), so the count is
+b^k * C(n - s(k-1), k), with k running up to (n + s) // (s + 1).
 
 The interval is always the full [0, a_{bn+1}); restrictions to sub-intervals
 are out of scope.
@@ -52,35 +52,11 @@ class GaussianFit:
 def _count_polynomial(params: SBParams, n: int) -> list[int]:
     """Coefficient k = number of integers in [0, a_{bn+1}) with k summands."""
     s, b = params.s, params.b
-    # state: bins since the last occupied one, capped at s (cap is enough:
-    # occupying is allowed exactly when the distance has reached s)
-    states: dict[int, list[int]] = {s: [1]}
-    for _ in range(n):
-        nxt: dict[int, list[int]] = {}
-
-        def pour(state: int, poly: list[int], shift: int, factor: int) -> None:
-            dst = nxt.setdefault(state, [])
-            if len(dst) < len(poly) + shift:
-                dst.extend([0] * (len(poly) + shift - len(dst)))
-            for k, v in enumerate(poly):
-                dst[k + shift] += v * factor
-
-        for st, poly in states.items():
-            pour(min(st + 1, s), poly, 0, 1)  # leave the bin empty
-            if st >= s:
-                pour(0, poly, 1, b)  # occupy: b choices, one more summand
-        states = nxt
-    out: list[int] = []
-    for poly in states.values():
-        if len(out) < len(poly):
-            out.extend([0] * (len(poly) - len(out)))
-        for k, v in enumerate(poly):
-            out[k] += v
-    return out
+    return [b**k * math.comb(n - s * (k - 1), k) for k in range((n + s) // (s + 1) + 1)]
 
 
 def summand_distribution(params: SBParams, n: int) -> SummandDistribution:
-    """Exact distribution of the summand count; totals a_{bn+1} by construction."""
+    """Exact distribution of the summand count; its total is checked against a_{bn+1}."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > DISTRIBUTION_BUDGET:

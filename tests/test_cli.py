@@ -181,6 +181,8 @@ class TestNormalize:
     "argv",
     [
         ("seq", "quilt", "--count", "3000000"),
+        ("seq", "quilt", "--count", "40000"),
+        ("seq", "generacci", "--s", "1", "--b", "1", "--count", "30000"),
         ("seq", "generacci", "--s", "1000000000", "--b", "1000000000", "--count", "1"),
         ("decompose", "generacci", "--s", "1000000000", "--b", "1000000000", "--m", "5"),
         ("tables", "quilt-count", "--n", "300000"),

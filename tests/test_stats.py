@@ -1,8 +1,11 @@
 """Summand-count distributions and normality checks."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genquilt.errors import BudgetExceededError
 from genquilt.generacci import SBParams, decompose, generate
@@ -48,6 +51,20 @@ class TestDistribution:
                 k = len(decompose(cache, m))
                 direct[k] = direct.get(k, 0) + 1
             assert summand_distribution(params, n).histogram == direct, params
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    def test_closed_form_matches_decompose_property(self, s, b, data):
+        # the binomial histogram against greedy decomposition of every
+        # integer in [0, a_{bn+1}), for intervals of at most about 3000
+        params = SBParams(s, b)
+        n_max = 1
+        while generate(params, b * (n_max + 1) + 1).term(b * (n_max + 1) + 1) <= 3000:
+            n_max += 1
+        n = data.draw(st.integers(1, n_max), label="n")
+        cache = generate(params, b * n + 1)
+        direct = Counter(len(decompose(cache, m)) for m in range(cache.term(b * n + 1)))
+        assert summand_distribution(params, n).histogram == direct
 
     def test_mean_variance_exact_types(self):
         dist = summand_distribution(SBParams(1, 2), 10)
