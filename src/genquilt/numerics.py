@@ -1,12 +1,13 @@
 """Characteristic polynomials, certified dominant roots, and growth constants.
 
 Polynomials carry exact integer coefficients; the dominant positive root is
-isolated by sign-change scan and exact rational bisection (the bracket is a
-certificate), then polished by Newton steps inside the bracket.  The other
-roots come from one Durand-Kerner iteration in double precision, seeded
-evenly on the circle of the Fujiwara bound.  The (s,b) rate r^{1/b} takes
-its error bound from the exact bracket of r, and leading-constant fits are
-exact integer ratios rounded once, so nothing depends on a working precision.
+isolated by sign-change scan and exact integer bisection on a common
+denominator (the bracket is a certificate), then polished by Newton steps
+inside the bracket.  The other roots come from one Durand-Kerner iteration
+in double precision, seeded evenly on the circle of the Fujiwara bound.  The
+(s,b) rate r^{1/b} takes its error bound from the exact bracket of r, and
+leading-constant fits are exact integer ratios rounded once, so nothing
+depends on a working precision.
 """
 
 from __future__ import annotations
@@ -130,8 +131,8 @@ class LeadingConstantFit(NamedTuple):
 def dominant_root_bracket(p: Polynomial, tol: Fraction | float) -> tuple[Fraction, Fraction]:
     """Certified bracket [lo, hi] around the unique root in (1, B], width <= tol.
 
-    Scans unit steps up to the Cauchy bound B for a sign change, then bisects
-    with exact rational arithmetic, so the bracket is a proof.
+    Scans unit steps up to the Cauchy bound B for a sign change, then runs
+    exact integer bisection on a common denominator, so the bracket is a proof.
     """
     tol = Fraction(tol)
     if tol <= 0:
@@ -139,36 +140,39 @@ def dominant_root_bracket(p: Polynomial, tol: Fraction | float) -> tuple[Fractio
     lead = p.coeffs[-1]
     scan_bound = 2 + max(abs(c) for c in p.coeffs[:-1]) // abs(lead)
 
-    def sign_at(x: Fraction) -> int:
-        value = p(x)
-        return (value > 0) - (value < 0)
+    def sign_at(num: int, den: int) -> int:
+        # den^d * p(num/den) by Horner in integers; den > 0 keeps the sign of p
+        acc, scale = 0, 1
+        for c in reversed(p.coeffs):
+            acc = acc * num + c * scale
+            scale *= den
+        return (acc > 0) - (acc < 0)
 
     lo = Fraction(1)
-    s_lo = sign_at(lo)
+    s_lo = sign_at(1, 1)
     if s_lo == 0:  # root exactly at 1 is out of scope (dominant root > 1)
-        lo = Fraction(1, 1) + min(tol, Fraction(1, 1024))
-        s_lo = sign_at(lo)
-    hi = None
-    x = Fraction(2)
-    while x <= scan_bound + 1:
-        if sign_at(x) != s_lo:
-            hi = x
+        lo += min(tol, Fraction(1, 1024))
+        s_lo = sign_at(lo.numerator, lo.denominator)
+    for x in range(2, scan_bound + 2):
+        if sign_at(x, 1) != s_lo:
             break
-        lo, x = x, x + 1
-    if hi is None:
+        lo = Fraction(x)
+    else:
         raise ValueError(f"no dominant root: no sign change on (1, {scan_bound}] for {p}")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        s_mid = sign_at(mid)
+    # the bracket is [low/den, high/den]; each midpoint doubles den
+    den = lo.denominator
+    low, high = lo.numerator, x * den
+    while (high - low) * tol.denominator > tol.numerator * den:
+        mid, den = low + high, 2 * den
+        s_mid = sign_at(mid, den)
         if s_mid == 0:
-            half = tol / 2
-            lo, hi = mid - half, mid + half
-            break
+            root, half = Fraction(mid, den), tol / 2
+            return root - half, root + half
         if s_mid == s_lo:
-            lo = mid
+            low, high = mid, 2 * high
         else:
-            hi = mid
-    return lo, hi
+            low, high = 2 * low, mid
+    return Fraction(low, den), Fraction(high, den)
 
 
 def complex_roots(p: Polynomial) -> list[complex]:

@@ -1,10 +1,13 @@
 """Root isolation, polynomial identities, and leading-constant fits."""
 
+import hashlib
 import math
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genquilt.generacci import SBParams, generate
 from genquilt.numerics import (
@@ -150,6 +153,124 @@ class TestDominantRoot:
             complex_roots(monomial_poly((200, 1), (0, -(10**300))))
         with pytest.raises(ArithmeticError):
             dominant_root(monomial_poly((200, 1), (0, -(10**300))), 1e-9)
+
+
+def _fraction_bisection(p, tol):
+    """Reference bracket: the earlier bisection, Horner on ``Fraction`` at every step."""
+    tol = Fraction(tol)
+    scan_bound = 2 + max(abs(c) for c in p.coeffs[:-1]) // abs(p.coeffs[-1])
+
+    def sign_at(x):
+        value = p(x)
+        return (value > 0) - (value < 0)
+
+    lo = Fraction(1)
+    s_lo = sign_at(lo)
+    if s_lo == 0:
+        lo = 1 + min(tol, Fraction(1, 1024))
+        s_lo = sign_at(lo)
+    x = Fraction(2)
+    while sign_at(x) == s_lo:
+        lo, x = x, x + 1
+        assert x <= scan_bound + 1
+    hi = x
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        s_mid = sign_at(mid)
+        if s_mid == 0:
+            return mid - tol / 2, mid + tol / 2
+        if s_mid == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+# 2x - 3 (a midpoint is the root), x^2 - 4x + 3 (p(1) = 0 and the root is a
+# scan endpoint), -x^3 + x + 1 (negative leading coefficient)
+EDGE_POLYS = (
+    monomial_poly((1, 2), (0, -3)),
+    monomial_poly((2, 1), (1, -4), (0, 3)),
+    monomial_poly((3, -1), (1, 1), (0, 1)),
+)
+FIXED_POLYS = (quilt_char(), count_char(), greedy_aux_char(), count_char_full(), *EDGE_POLYS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from(FIXED_POLYS),
+        st.builds(SBParams, st.integers(1, 12), st.integers(1, 12)).map(generacci_aux),
+    ),
+    st.one_of(
+        st.integers(1, 80).map(lambda k: float(f"1e-{k}")),
+        st.integers(2, 10**40).map(lambda n: Fraction(1, n)),
+    ),
+)
+def test_bracket_equals_fraction_bisection(p, tol):
+    assert dominant_root_bracket(p, tol) == _fraction_bisection(p, tol)
+
+
+class TestBracketEdges:
+    @pytest.mark.parametrize("tol", [Fraction(1e-4), Fraction(1, 10**30)])
+    def test_midpoint_is_the_root(self, tol):
+        assert dominant_root_bracket(EDGE_POLYS[0], tol) == (Fraction(3, 2) - tol / 2, Fraction(3, 2) + tol / 2)
+
+    def test_root_at_one_and_at_scan_endpoint(self):
+        # the scan reaches 3 = the root; bisection keeps it as hi, so the
+        # width is the first power of two at or below tol
+        p = EDGE_POLYS[1]
+        assert dominant_root_bracket(p, Fraction(1, 10**30)) == (3 - Fraction(1, 2**100), Fraction(3))
+        assert dominant_root_bracket(p, 1e-12) == (3 - Fraction(1, 2**40), Fraction(3))
+
+    def test_root_at_one_with_non_dyadic_tol(self):
+        # count_char_full(1) = 0, so bisection starts from [1 + tol, 2]
+        eps = Fraction(1, 10**30)
+        p = count_char_full()
+        lo, hi = dominant_root_bracket(p, eps)
+        width = (1 - eps) / 2**100
+        assert hi - lo == width
+        assert ((lo - 1 - eps) / width).denominator == 1
+        assert p(lo) < 0 < p(hi)
+        c_lo, c_hi = dominant_root_bracket(count_char(), eps)
+        assert max(lo, c_lo) < min(hi, c_hi)
+
+
+# SHA-256 of repr of the brackets at GOLDEN_TOLS, pinned from the Fraction
+# bisection so that the integer bisection stays bit-identical to it.  Equal
+# digests are expected: greedy_aux is aux_4_1, and it is the quilt cubic times
+# x^2 - x + 1 > 0, so all three bisect [1, 2] with the same signs; aux_1_2
+# and aux_2_4 both vanish at the scan endpoint 2.
+GOLDEN_TOLS = (1e-4, 1e-12, 1e-30, 1e-60, Fraction(1, 10**30))
+GOLDEN_BRACKETS = {
+    "quilt": (quilt_char(), "8d0c3e91f8c5d80154a2e29dc98ff1823ab597590b7c53890668b533a8480c20"),
+    "count": (count_char(), "1b002f4973fe65f27b10dc42850d5d29e33bf7d4ab08be4367fa6f8fbb3ea4e6"),
+    "greedy_aux": (greedy_aux_char(), "8d0c3e91f8c5d80154a2e29dc98ff1823ab597590b7c53890668b533a8480c20"),
+    "count_full": (count_char_full(), "ee702c00aee94d5f07b872e4f563e6cecbcf72c0018c0ca7ed2103a9f47b4b13"),
+    "aux_1_1": (generacci_aux(SBParams(1, 1)), "4aa4644ade3de86324aabeba8ce04b4f16f62e6b5773821ad123d281dc9f1319"),
+    "aux_1_2": (generacci_aux(SBParams(1, 2)), "b5c44e25d73ecbba04d0892abff840355dd0a13c20c7a346fa38b69a7bb54fe5"),
+    "aux_1_3": (generacci_aux(SBParams(1, 3)), "dee6f33ea05b715c7dc811b3190d79af83f1cad773382eef2718b52737164bfe"),
+    "aux_1_4": (generacci_aux(SBParams(1, 4)), "bd4771195de401734ffee7e128a17862230b8bcd458c9822b967a6239f98b57f"),
+    "aux_2_1": (generacci_aux(SBParams(2, 1)), "5b32f93e6798a3c3c0cff38c1770f2e8e128f8390a5be5cf47c37792efbe9c3c"),
+    "aux_2_2": (generacci_aux(SBParams(2, 2)), "8c455d6a1d17fe15314ce8c1272c7a03652aa47bd902722bc09489fb12a317eb"),
+    "aux_2_3": (generacci_aux(SBParams(2, 3)), "89568f820ee1b5eef9e3c684839378fee25df886d7e04486b3d9cca9ece06934"),
+    "aux_2_4": (generacci_aux(SBParams(2, 4)), "b5c44e25d73ecbba04d0892abff840355dd0a13c20c7a346fa38b69a7bb54fe5"),
+    "aux_3_1": (generacci_aux(SBParams(3, 1)), "f0d3d599e39a3ea685771c52396132f2faa8ef05fa5d84a0e2e126fec197f549"),
+    "aux_3_2": (generacci_aux(SBParams(3, 2)), "30985d836655d284c4af138d0ad19deb86c86a3fd66390a47d26b8842f71068f"),
+    "aux_3_3": (generacci_aux(SBParams(3, 3)), "da82200bcce756c45b66540710996a5f2fcd1bb7fb69be1b02de5a278680276e"),
+    "aux_3_4": (generacci_aux(SBParams(3, 4)), "92cb4ca863ed7dee993c696f2353ec8e78330ba61e2c01eec2fa95c6243cb62d"),
+    "aux_4_1": (generacci_aux(SBParams(4, 1)), "8d0c3e91f8c5d80154a2e29dc98ff1823ab597590b7c53890668b533a8480c20"),
+    "aux_4_2": (generacci_aux(SBParams(4, 2)), "aefe36a2b70e840ffa434a9e2d2f62ba4d35b86ad2126959f307c881d922a104"),
+    "aux_4_3": (generacci_aux(SBParams(4, 3)), "b2245c47154965c879763e241b234c4fcd87c9e09b123eba9243dc03db3f5566"),
+    "aux_4_4": (generacci_aux(SBParams(4, 4)), "7b3b4b07cd1ee72db8dbd0ef3f297c975604bd23d8c7380a90e11e309e447b11"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BRACKETS))
+def test_golden_brackets(name):
+    p, digest = GOLDEN_BRACKETS[name]
+    brackets = [dominant_root_bracket(p, tol) for tol in GOLDEN_TOLS]
+    assert hashlib.sha256(repr(brackets).encode()).hexdigest() == digest
 
 
 class TestGeneracciAnalysis:
