@@ -40,6 +40,11 @@ def _fraction_fields(name: str, value: Fraction) -> dict:
     }
 
 
+def _success_fields(table: greedy.SuccessTable, n: int) -> dict:
+    rho = table.rho[n]
+    return {"h": str(table.h[n]), **_fraction_fields("rho", rho), "rho_percent": percent_string(rho)}
+
+
 def _record(command: str, params: dict, rows: list[dict], tolerances: dict | None = None) -> dict:
     return {
         "command": command,
@@ -119,13 +124,7 @@ def _cmd_tables(args, parser) -> dict:
         table = greedy.success_table(args.n)
         cache = quilt.shared_cache()
         rows = [
-            {
-                "n": n,
-                "q": str(cache.term(n)),
-                "h": str(table.h[n]),
-                **_fraction_fields("rho", table.rho[n]),
-                "rho_percent": percent_string(table.rho[n]),
-            }
+            {"n": n, "q": str(cache.term(n)), **_success_fields(table, n)}
             for n in range(1, args.n + 1)
         ]
     return _record("tables", {"target": args.target, "n": args.n}, rows)
@@ -142,65 +141,39 @@ def _cmd_average(args, parser) -> dict:
     return _record("average", {"target": "quilt", "n": args.n}, [row])
 
 
-def _root_row(label: str, report: numerics.RootReport) -> dict:
-    return {
-        "polynomial": label,
-        "dominant_root": _fmt_float(report.dominant_root),
-        "error_bound": _fmt_float(report.error_bound),
-        "secondary_modulus": _fmt_float(report.secondary_modulus),
-        "leading_constant": _fmt_float(report.leading_constant),
-        "residual": _fmt_float(report.residual),
-    }
-
-
-def _with_fit(report: numerics.RootReport, terms: list[int], stride: int) -> numerics.RootReport:
-    fit = numerics.fit_leading_constant(terms, report.dominant_root, stride)
-    return numerics.RootReport(
-        dominant_root=report.dominant_root,
-        error_bound=report.error_bound,
-        secondary_modulus=report.secondary_modulus,
-        leading_constant=fit.value,
-        residual=fit.residual,
-    )
-
-
 def _cmd_roots(args, parser) -> dict:
     tol = args.tol
     params: dict = {"target": args.target, "tol": _fmt_float(tol)}
-    if args.target == "quilt":
-        poly = numerics.quilt_char()
-        report = numerics.dominant_root(poly, tol)
-        report = _with_fit(report, quilt.quilt_terms(60).terms(60), 1)
-        label = str(poly)
-    elif args.target == "generacci":
+    if args.target == "generacci":
         sb = _sb(args, parser)
         params.update({"s": sb.s, "b": sb.b})
         report = numerics.generacci_char_analysis(sb, tol)
-        report = _with_fit(report, generate(sb, 60 * sb.b).terms(60 * sb.b), sb.b)
-        label = str(numerics.generacci_char(sb))
-    elif args.target == "quilt-count":
-        poly = numerics.count_char()
+        stride = sb.b
+        terms = generate(sb, 60 * stride).terms(60 * stride)
+        poly = numerics.generacci_char(sb)
+    else:
+        if args.target == "quilt":
+            poly, terms = numerics.quilt_char(), quilt.quilt_terms(60).terms(60)
+        elif args.target == "quilt-count":
+            poly, terms = numerics.count_char(), quilt_count.count_tables(100).d[1:]
+        else:  # greedy-aux, fitted on the shifted count g_n = h_n + 1
+            poly, terms = numerics.greedy_aux_char(), [h + 1 for h in greedy.success_table(100).h[1:]]
         report = numerics.dominant_root(poly, tol)
-        report = _with_fit(report, quilt_count.count_tables(100).d[1:], 1)
-        label = str(poly)
-    else:  # greedy-aux
-        poly = numerics.greedy_aux_char()
-        report = numerics.dominant_root(poly, tol)
-        g_terms = [h + 1 for h in greedy.success_table(100).h[1:]]
-        report = _with_fit(report, g_terms, 1)
-        label = str(poly)
-    return _record("roots", params, [_root_row(label, report)], tolerances={"tol": _fmt_float(tol)})
+        stride = 1
+    fit = numerics.fit_leading_constant(terms, report.dominant_root, stride)
+    row = {
+        "polynomial": str(poly),
+        "dominant_root": _fmt_float(report.dominant_root),
+        "error_bound": _fmt_float(report.error_bound),
+        "secondary_modulus": _fmt_float(report.secondary_modulus),
+        "leading_constant": _fmt_float(fit.value),
+        "residual": _fmt_float(fit.residual),
+    }
+    return _record("roots", params, [row], tolerances={"tol": _fmt_float(tol)})
 
 
 def _cmd_greedy(args, parser) -> dict:
-    table = greedy.success_table(args.n)
-    rho = table.rho[args.n]
-    row = {
-        "n": args.n,
-        "h": str(table.h[args.n]),
-        **_fraction_fields("rho", rho),
-        "rho_percent": percent_string(rho),
-    }
+    row = {"n": args.n, **_success_fields(greedy.success_table(args.n), args.n)}
     return _record("greedy", {"target": "ratio", "n": args.n}, [row])
 
 

@@ -133,11 +133,10 @@ class SequenceCache(RecurrenceCache):
     """Memoized prefix of an (s,b) sequence: literal seeds, then
     a_n = a_{n-b} + b * a_{n-(s+1)b}."""
 
-    __slots__ = ("params",)
+    __slots__ = ()
 
     def __init__(self, params: SBParams) -> None:
         super().__init__(range(1, params.seed_count + 1), params.b, (params.s + 1) * params.b, params.b)
-        self.params = params
 
 
 def generate(params: SBParams, count: int) -> SequenceCache:
@@ -161,15 +160,13 @@ def bin_of(params: SBParams, index: int) -> int:
 def is_legal_sb(params: SBParams, indices: Iterable[int]) -> bool:
     """Whether the index set is legal: distinct bins, gaps of more than s bins.
 
-    Duplicate indices and two indices in one bin are both illegal.  The empty
-    set and singletons are legal.
+    Two indices in one bin are illegal, so duplicate indices are too.  The
+    empty set and singletons are legal.
     """
     idx = sorted(indices)
     for i in idx:
         if i < 1:
             raise ValueError(f"indices must be >= 1, got {i}")
-    if len(set(idx)) != len(idx):
-        return False
     bins = [bin_of(params, i) for i in idx]
     return all(nxt - cur > params.s for cur, nxt in zip(bins, bins[1:]))
 

@@ -27,7 +27,6 @@ from .errors import BudgetExceededError
 from .generacci import Decomposition, greedy_decomposition
 from .quilt import is_fq_legal, shared_cache
 
-SIMULATION_BUDGET = 25
 SUCCESS_TABLE_BUDGET = 10**4  # each rho_n reduces a fraction of about n/8 digits
 #: Most parts normalize_to_greedy6 takes: a trace holds about as many steps as
 #: parts, each a tuple of up to that many indices, so its size is quadratic.
@@ -109,36 +108,19 @@ def greedy_failures(limit: int) -> list[int]:
     return [m for m in range(1, limit + 1) if not greedy_decompose(m).legal]
 
 
-def success_table(n_max: int, mode: str = "recurrence") -> SuccessTable:
-    """h_n and rho_n for n = 1..n_max.
+def success_table(n_max: int) -> SuccessTable:
+    """h_n and rho_n for n = 1..n_max: h_k = k for k <= 5, then h_n = h_{n-1} + h_{n-5} + 1.
 
-    Recurrence mode: h_k = k for k <= 5, then h_n = h_{n-1} + h_{n-5} + 1.
-    Simulation mode: count the greedy successes directly (budget-capped).
+    Counted directly, h_n is q_{n+1} - 1 less the greedy failures below q_{n+1}.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if mode not in ("recurrence", "simulation"):
-        raise ValueError(f"unknown mode {mode!r}")
     if n_max > SUCCESS_TABLE_BUDGET:
         raise BudgetExceededError("success table size", n_max, SUCCESS_TABLE_BUDGET)
     cache = shared_cache()
-    if mode == "recurrence":
-        h = [0] + list(range(1, min(n_max, 5) + 1))
-        for n in range(6, n_max + 1):
-            h.append(h[n - 1] + h[n - 5] + 1)
-    else:
-        if n_max > SIMULATION_BUDGET:
-            raise BudgetExceededError("greedy success simulation", n_max, SIMULATION_BUDGET)
-        h = [0] * (n_max + 1)
-        count = 0
-        m = 1
-        for n in range(1, n_max + 1):
-            upper = cache.term(n + 1)
-            while m < upper:
-                if greedy_decompose(m).legal:
-                    count += 1
-                m += 1
-            h[n] = count
+    h = [0] + list(range(1, min(n_max, 5) + 1))
+    for n in range(6, n_max + 1):
+        h.append(h[n - 1] + h[n - 5] + 1)
     rho = [Fraction(0)] + [Fraction(h[n], cache.term(n + 1) - 1) for n in range(1, n_max + 1)]
     return SuccessTable(h, rho)
 
@@ -155,7 +137,9 @@ def min_summands(m: int) -> int:
 
     Matching the Greedy-6 summand count is asserted in tests, never assumed.
     """
-    return oracle.min_summands_dp(m)
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    return oracle.min_summands_table(m)[m]
 
 
 # --- the rewrite engine -----------------------------------------------------

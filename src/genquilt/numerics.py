@@ -119,13 +119,18 @@ class RootReport:
     dominant_root: float
     error_bound: float
     secondary_modulus: float
-    leading_constant: float | None = None
-    residual: float | None = None
 
 
 class LeadingConstantFit(NamedTuple):
     value: float
     residual: float
+
+
+def _exact_tol(tol: Fraction | float) -> Fraction:
+    """``tol`` as an exact Fraction; NaN, infinities and values <= 0 are refused."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
+    return Fraction(tol)
 
 
 def dominant_root_bracket(p: Polynomial, tol: Fraction | float) -> tuple[Fraction, Fraction]:
@@ -134,9 +139,7 @@ def dominant_root_bracket(p: Polynomial, tol: Fraction | float) -> tuple[Fractio
     Scans unit steps up to the Cauchy bound B for a sign change, then runs
     exact integer bisection on a common denominator, so the bracket is a proof.
     """
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    tol = _exact_tol(tol)
     lead = p.coeffs[-1]
     scan_bound = 2 + max(abs(c) for c in p.coeffs[:-1]) // abs(lead)
 
@@ -218,9 +221,7 @@ def dominant_root(p: Polynomial, tol: float = 1e-12) -> RootReport:
     """
     if p.degree < 1:
         raise ValueError("degree must be >= 1")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    lo, hi = dominant_root_bracket(p, Fraction(tol))
+    lo, hi = dominant_root_bracket(p, tol)
     root = _newton_polish(p, (lo + hi) / 2, lo, hi)
     return RootReport(
         dominant_root=root,
@@ -262,8 +263,7 @@ def generacci_char_analysis(params: SBParams, tol: float = 1e-12) -> RootReport:
     so the bracket width divided by b bounds the error of lambda.  Checks
     square-freeness exactly, and r > 1 via the bracket.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    half_tol = _exact_tol(tol) / 2
     if params.s + 1 > ROOT_DEGREE_BUDGET:
         raise BudgetExceededError("(s,b) root degree", params.s + 1, ROOT_DEGREE_BUDGET)
     aux = generacci_aux(params)
@@ -272,7 +272,7 @@ def generacci_char_analysis(params: SBParams, tol: float = 1e-12) -> RootReport:
     b = params.b
     # bracket the y-root at half the tolerance so the bound stays within tol
     # even for b = 1; the Cauchy bound scan covers (1, b+2]
-    lo, hi = dominant_root_bracket(aux, Fraction(tol) / 2)
+    lo, hi = dominant_root_bracket(aux, half_tol)
     assert lo >= 1
     mid = float((lo + hi) / 2)
     return RootReport(

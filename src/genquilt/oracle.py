@@ -5,9 +5,9 @@ rebuilt from their literal definitions by scanning for the smallest
 non-representable integer, exhaustive legal-subset enumeration, a
 depth-first decomposition counter, a plain coin-change DP for minimal
 summand counts, and a Sylvester-matrix resultant.  Closed-form generators,
-counting recurrences and exact shortcuts are validated against these; only
-the legality predicates are shared (and those are differentially tested on
-both sides).
+counting recurrences and exact shortcuts are validated against these.  Only
+the legality predicates are shared; their reference is a literal statement
+of the rule local to the tests.
 """
 
 from __future__ import annotations
@@ -181,13 +181,6 @@ def min_summands_table(m_max: int) -> list[int]:
                 best = c
         table[m] = best
     return table
-
-
-def min_summands_dp(m: int) -> int:
-    """Minimal number of quilt terms (repeats allowed) summing to ``m``."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    return min_summands_table(m)[m]
 
 
 def resultant(p: Polynomial, q: Polynomial) -> int:

@@ -53,32 +53,27 @@ def quilt_terms(count: int) -> QuiltCache:
 
 
 def is_fq_legal(indices: Iterable[int]) -> bool:
-    """Pairwise legality test for a set of 1-based indices.
+    """Legality of a set of 1-based indices: :func:`fq_extend_ok`, folded.
 
     Duplicates are illegal (difference 0), as is any pair differing by 1, 3,
     or 4, and the specific pair {1, 3}.  The empty set is legal.
     """
-    idx = sorted(indices)
+    idx = sorted(indices, reverse=True)
+    if idx and idx[-1] < 1:
+        raise ValueError(f"indices must be >= 1, got {idx[-1]}")
+    chosen: list[int] = []
     for i in idx:
-        if i < 1:
-            raise ValueError(f"indices must be >= 1, got {i}")
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            d = idx[b] - idx[a]
-            if d > 4:
-                break  # sorted, later differences only grow
-            if d == 0 or d in FORBIDDEN_DIFFS:
-                return False
-    if 1 in idx and 3 in idx:
-        return False
+        if not fq_extend_ok(i, chosen):
+            return False
+        chosen.append(i)
     return True
 
 
 def fq_extend_ok(candidate: int, chosen_desc: list[int]) -> bool:
     """Whether ``candidate`` may join ``chosen_desc`` (strictly decreasing).
 
-    Incremental form of :func:`is_fq_legal` for enumeration loops; candidate
-    must be smaller than every chosen index.
+    The one statement of the quilt rule; candidate must not exceed any chosen
+    index (an equal one is a duplicate, so illegal).
     """
     for j in reversed(chosen_desc):  # nearest chosen indices first
         d = j - candidate

@@ -85,13 +85,16 @@ def test_criterion_02_count_table_reproduction(capsys):
 
 
 def test_criterion_03_success_table_reproduction():
-    with criterion(3, 120.0, "h and rho rows, simulation = recurrence to n = 22"):
-        rec = success_table(22, "recurrence")
+    with criterion(3, 120.0, "h and rho rows, direct count = recurrence to n = 22"):
+        rec = success_table(22)
         assert rec.h[1:18] == TABLE_H
         assert [percent_string(r) for r in rec.rho[1:18]] == TABLE_RHO_PERCENT
-        sim = success_table(22, "simulation")
-        assert sim.h == rec.h
-        assert sim.rho == rec.rho
+        # counted directly, h_n is q_{n+1} - 1 less the greedy failures below q_{n+1}
+        q = quilt_terms(23).term
+        failures = greedy_failures(q(23) - 1)
+        h = [0] + [q(n + 1) - 1 - sum(f < q(n + 1) for f in failures) for n in range(1, 23)]
+        assert h == rec.h
+        assert [Fraction(0)] + [Fraction(h[n], q(n + 1) - 1) for n in range(1, 23)] == rec.rho
 
 
 def test_criterion_04_greedy_failure_set():

@@ -141,8 +141,10 @@ class TestRoots:
         assert abs(float(record["rows"][0]["dominant_root"]) - 1.32472) < 1e-5
 
     def test_bad_tol_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "roots", "quilt", "--tol", "-1")
-        assert code == 2
+        for tol in ("-1", "nan", "inf"):
+            code, _, err = run(capsys, "roots", "quilt", "--tol", tol)
+            assert code == 2, tol
+            assert "tol" in err, tol
 
 
 class TestGreedyRatio:

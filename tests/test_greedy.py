@@ -98,18 +98,13 @@ class TestSuccessTable:
         assert success_table(9).h[9] == 19
 
     def test_simulation_matches_recurrence(self):
-        rec = success_table(22, "recurrence")
-        sim = success_table(22, "simulation")
-        assert rec.h == sim.h
-        assert rec.rho == sim.rho
-
-    def test_simulation_budget(self):
-        with pytest.raises(BudgetExceededError):
-            success_table(26, "simulation")
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            success_table(5, "guess")
+        # counted directly, h_n is q_{n+1} - 1 less the greedy failures below q_{n+1}
+        q = shared_cache().term
+        failures = greedy_failures(q(23) - 1)
+        h = [0] + [q(n + 1) - 1 - sum(f < q(n + 1) for f in failures) for n in range(1, 23)]
+        rec = success_table(22)
+        assert rec.h == h
+        assert rec.rho == [Fraction(0)] + [Fraction(h[n], q(n + 1) - 1) for n in range(1, 23)]
 
     def test_g_recurrence(self):
         # g_n = h_n + 1 satisfies g_n = g_{n-1} + g_{n-5} exactly

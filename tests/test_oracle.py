@@ -9,7 +9,6 @@ from genquilt.oracle import (
     count_decompositions_dfs,
     definitional_sequence,
     enumerate_legal,
-    min_summands_dp,
     min_summands_table,
 )
 from genquilt.quilt import is_fq_legal, quilt_terms
@@ -111,14 +110,14 @@ class TestCountDecompositionsDfs:
 
 class TestMinSummands:
     def test_six(self):
-        assert min_summands_dp(6) == 2
+        assert min_summands_table(6)[6] == 2
 
     def test_one(self):
-        assert min_summands_dp(1) == 1
+        assert min_summands_table(1)[1] == 1
 
     def test_106(self):
         # consistent with the three-summand decomposition 65 + 37 + 4
-        assert min_summands_dp(106) == 3
+        assert min_summands_table(106)[106] == 3
 
     def test_table_prefix(self):
         table = min_summands_table(30)

@@ -4,6 +4,8 @@ from itertools import combinations
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genquilt.quilt import (
     QuiltCache,
@@ -15,6 +17,13 @@ from genquilt.quilt import (
 # Start of the sequence as forced by the definition (cross-derived from the
 # definitional scan in test_oracle).
 FIRST_21 = [1, 2, 3, 4, 5, 7, 9, 12, 16, 21, 28, 37, 49, 65, 86, 114, 151, 200, 265, 351, 465]
+
+
+def literal_fq_rule(indices: list[int]) -> bool:
+    """The quilt rule as stated, independent of the library: every pair differs
+    by something outside {0, 1, 3, 4}, and 1 and 3 are not both present."""
+    pairs_ok = all(abs(a - b) not in (0, 1, 3, 4) for a, b in combinations(indices, 2))
+    return pairs_ok and not (1 in indices and 3 in indices)
 
 
 def test_first_21_terms():
@@ -80,6 +89,10 @@ class TestLegality:
         with pytest.raises(ValueError):
             is_fq_legal([0, 2])
 
+    def test_bad_index_raises_before_illegal_pair(self):
+        with pytest.raises(ValueError):
+            is_fq_legal([5, 4, 0])
+
     def test_subset_of_legal_is_legal(self):
         # legality is monotone under removal
         base = [20, 15, 9, 4]
@@ -87,6 +100,12 @@ class TestLegality:
         for r in range(len(base) + 1):
             for sub in combinations(base, r):
                 assert is_fq_legal(sub)
+
+    @settings(max_examples=400, deadline=None)
+    # half the draws come from 1..5, where the {1, 3} exception lives
+    @given(st.lists(st.integers(1, 5) | st.integers(1, 40), max_size=10))
+    def test_matches_literal_rule(self, indices):
+        assert is_fq_legal(indices) == literal_fq_rule(indices)
 
     def test_permutation_insensitive(self):
         assert is_fq_legal([4, 9, 15]) == is_fq_legal([15, 9, 4])
