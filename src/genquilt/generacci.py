@@ -182,21 +182,15 @@ def sb_extend_ok(params: SBParams, candidate: int, chosen_desc: list[int]) -> bo
     return bin_of(params, chosen_desc[-1]) - bin_of(params, candidate) > params.s
 
 
-def greedy_decomposition(cache: RecurrenceCache, m: int, *, greedy6: bool = False) -> Decomposition:
+def greedy_decomposition(cache: RecurrenceCache, m: int) -> Decomposition:
     """Repeatedly subtract the largest term not exceeding the remainder.
 
-    The cache grows as needed, and m = 0 yields the empty decomposition.  With ``greedy6`` a remainder of
-    exactly 6 becomes a_4 + a_2 (the Greedy-6 patch for the quilt, where 6 is
-    not a term).
+    The cache grows as needed, and m = 0 yields the empty decomposition.
     """
     indices: list[int] = []
     values: list[int] = []
     remaining = m
     while remaining:
-        if greedy6 and remaining == 6:
-            indices += (4, 2)
-            values += (cache.term(4), cache.term(2))
-            break
         i = cache.index_of_largest_leq(remaining)
         indices.append(i)
         values.append(cache.term(i))

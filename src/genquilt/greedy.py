@@ -19,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from operator import neg
 from typing import Iterable
 
@@ -33,6 +34,10 @@ SUCCESS_TABLE_BUDGET = 10**4  # each rho_n reduces a fraction of about n/8 digit
 NORMALIZE_PARTS_BUDGET = 2000
 #: Largest index normalize_to_greedy6 takes; q_i has about i/8 digits.
 NORMALIZE_INDEX_BUDGET = 10**4
+#: The removed and added indices of the swap q_5 + q_1 -> q_4 + q_2: both
+#: pairs sum to 6, and only the second is legal.  Greedy-6 ends with it, and
+#: the rewrite engine applies it as its terminal "tail" move.
+_TAIL = ((5, 1), (4, 2))
 
 
 @dataclass(frozen=True)
@@ -50,10 +55,6 @@ class SuccessTable:
 
     h: list[int]
     rho: list[Fraction]
-
-    @property
-    def n_max(self) -> int:
-        return len(self.h) - 1
 
 
 @dataclass(frozen=True)
@@ -78,10 +79,18 @@ def greedy_decompose(m: int) -> GreedyOutcome:
 
 
 def greedy6_decompose(m: int) -> Decomposition:
-    """Greedy with one override: a remainder of exactly 6 becomes q_4 + q_2."""
+    """Greedy with one override: a remainder of exactly 6 becomes q_4 + q_2.
+
+    A remainder whose largest term is q_5 is 5 or 6, and only 6 leaves a 1,
+    so plain greedy ends in (5, 1) exactly when it meets a remainder of 6.
+    """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    return greedy_decomposition(shared_cache(), m, greedy6=True)
+    cache = shared_cache()
+    dec = greedy_decomposition(cache, m)
+    if dec.indices[-2:] != _TAIL[0]:
+        return dec
+    return Decomposition(dec.indices[:-2] + _TAIL[1], dec.values[:-2] + tuple(map(cache.term, _TAIL[1])))
 
 
 def structure_conditions(dec: Decomposition) -> tuple[bool, bool]:
@@ -96,7 +105,7 @@ def structure_conditions(dec: Decomposition) -> tuple[bool, bool]:
     t = len(idx)
     cond1 = all(idx[i] - idx[i + 1] >= 5 for i in range(t - 1))
     cond2 = False
-    if t >= 2 and idx[-2] == 4 and idx[-1] == 2:
+    if idx[-2:] == _TAIL[1]:
         prefix_ok = all(idx[i] - idx[i + 1] >= 5 for i in range(t - 3))
         third_ok = t < 3 or idx[-3] >= 10
         cond2 = prefix_ok and third_ok
@@ -144,7 +153,8 @@ def min_summands(m: int) -> int:
 
 # --- the rewrite engine -----------------------------------------------------
 #
-# Anchored at the larger index n, the five moves are:
+# Move k takes an anchor n and the next-lower entry of the multiset, at
+# index gap k - 1 (so move 1 takes a repeated index).  The five moves are:
 #   1: 2 q_n            -> q_{n+2} + q_{n-5}   (n >= 7, small cases below)
 #   2: q_n + q_{n-1}    -> q_{n+2}             (n >= 3; the n = 2 pair gives q_3)
 #   3: q_n + q_{n-2}    -> q_{n+1} + q_{n-5}   (n >= 8, small cases below)
@@ -180,7 +190,7 @@ def _move_parts(move: str, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return (n, n - 3), (n + 1, n - 8) if n >= 10 else _SMALL_4[n]
     if move == "5":
         return (n, n - 4), (n + 1,)
-    return (5, 1), (4, 2)  # "tail": both pairs sum to 6; the legal shape is (4, 2)
+    return _TAIL
 
 
 _TWO_TO_FIVE = frozenset(range(2, 6))
@@ -190,36 +200,23 @@ def _measure(parts: tuple[int, ...]) -> tuple[int, int, int]:
     return len(parts), sum(parts), sum(map(_TWO_TO_FIVE.__contains__, parts))
 
 
-def _find_move(counts: dict[int, int], scan_from: int) -> tuple[str, int] | None:
-    """First applicable (move, anchor), scanning anchors from the top down."""
-    for n in range(scan_from, 0, -1):
-        if n not in counts:
-            continue
-        if counts[n] >= 2:
-            return "1", n
-        if n >= 2 and n - 1 in counts:
-            return "2", n
-        if n >= 3 and n - 2 in counts:
-            return "3", n
-        if n >= 4 and n - 3 in counts:
-            return "4", n
-        if n >= 6 and n - 4 in counts:
-            return "5", n
+def _find_move(state: tuple[int, ...], scan_from: int) -> tuple[str, int] | None:
+    """First applicable (move, anchor) in the descending ``state``, anchors from ``scan_from`` down."""
+    start = bisect_left(state, -scan_from, key=neg)
+    for n, nxt in zip(islice(state, start, None), islice(state, start + 1, None)):
+        gap = n - nxt
+        if gap < 4 or (gap == 4 and n >= 6):
+            return str(gap + 1), n
     return None
 
 
-def _step(move: str, n: int, counts: dict[int, int], terms: list[int], before: tuple[int, ...]) -> MoveStep:
-    """Apply one move to ``counts`` and to the sorted tuple ``before``, checked."""
+def _step(move: str, n: int, terms: list[int], before: tuple[int, ...]) -> MoveStep:
+    """Apply one move to the sorted tuple ``before``, checked."""
     gone, new = _move_parts(move, n)
-    for i in gone:
-        counts[i] -= 1
-        if not counts[i]:
-            del counts[i]
     after = list(before)
     for i in gone:
         del after[bisect_left(after, -i, key=neg)]
     for i in new:
-        counts[i] = counts.get(i, 0) + 1
         insort(after, i, key=neg)
     step = MoveStep(move, before, tuple(after))
     if sum(map(terms.__getitem__, gone)) != sum(map(terms.__getitem__, new)):
@@ -232,11 +229,13 @@ def _step(move: str, n: int, counts: dict[int, int], terms: list[int], before: t
 def normalize_to_greedy6(indices: Iterable[int]) -> MoveTrace:
     """Rewrite any multiset of quilt indices to its Greedy-6 normal form.
 
-    Moves are applied deterministically: anchors scanned from the largest
-    index down, move numbers tried in order at each anchor.  A move at anchor
-    n creates nothing above n + 2 and cannot wake any anchor above n + 6, so
-    the scan restarts there instead of at the top.  The terminal (5,1) ->
-    (4,2) swap runs only once no move applies.
+    The multiset is kept as one descending tuple.  Moves are applied
+    deterministically: adjacent entries are scanned from the largest index
+    down, and the first anchor n whose next-lower entry lies at index gap
+    k - 1 takes move k.  A move at anchor n creates nothing above n + 2 and
+    cannot wake any anchor above n + 6, so the scan restarts there instead
+    of at the top.  The terminal (5,1) -> (4,2) swap runs only once no move
+    applies.
 
     Every step is checked in exact arithmetic against the pair of index
     tuples it swaps: the removed and added terms must have equal sums (which
@@ -260,10 +259,7 @@ def normalize_to_greedy6(indices: Iterable[int]) -> MoveTrace:
         raise BudgetExceededError("normalization index", parts[0], NORMALIZE_INDEX_BUDGET)
 
     cache = shared_cache()
-    counts: dict[int, int] = {}
-    for i in parts:
-        counts[i] = counts.get(i, 0) + 1
-    if len(counts) == len(parts):
+    if len(set(parts)) == len(parts):
         # Inputs already in normal form stay put.  Without this check the
         # raw move relation would take a (4,2) tail on a round trip through
         # (5,1) and back via the terminal swap.
@@ -280,12 +276,14 @@ def normalize_to_greedy6(indices: Iterable[int]) -> MoveTrace:
     steps: list[MoveStep] = []
     state = parts
     scan_from = parts[0]
-    while (found := _find_move(counts, scan_from)) is not None:
+    while (found := _find_move(state, scan_from)) is not None:
         move, n = found
-        steps.append(_step(move, n, counts, terms, state))
+        steps.append(_step(move, n, terms, state))
         state = steps[-1].after
         scan_from = n + 6
-    if 5 in counts and 1 in counts:
-        steps.append(_step("tail", 5, counts, terms, state))
+    # With no move left no index repeats and the entry after a 5 is at most
+    # 1, so a 5 and a 1 together can only be the last two entries.
+    if state[-2:] == _TAIL[0]:
+        steps.append(_step("tail", 5, terms, state))
         state = steps[-1].after
     return MoveTrace(steps, Decomposition(state, tuple(map(terms.__getitem__, state))))

@@ -142,7 +142,6 @@ def count_decompositions_dfs(m: int) -> int:
         return 1
     cache = q.shared_cache()
     top = cache.index_of_largest_leq(m)
-    cache.ensure_count(top + 5)
     term = cache.term
 
     def rec(i: int, remaining: int, mask: int, three_used: bool) -> int:
@@ -167,7 +166,6 @@ def min_summands_table(m_max: int) -> list[int]:
     if m_max > MIN_SUMMANDS_BUDGET:
         raise BudgetExceededError("min-summands DP size", m_max, MIN_SUMMANDS_BUDGET)
     cache = q.shared_cache()
-    cache.ensure_value(m_max)
     denoms = cache.terms(cache.index_of_largest_leq(m_max))
     big = m_max + 1
     table = [0] + [big] * m_max

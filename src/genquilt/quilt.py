@@ -97,5 +97,4 @@ def partial_sum_identity_check(n: int) -> bool:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     cache = shared_cache()
-    cache.ensure_count(n + 5)
     return sum(cache.terms(n)) == cache.term(n + 5) - 6

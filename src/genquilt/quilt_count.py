@@ -49,10 +49,6 @@ class CountTables:
     c: list[int]
     b: list[int]
 
-    @property
-    def n_max(self) -> int:
-        return len(self.d) - 1
-
 
 @dataclass
 class AverageReport:

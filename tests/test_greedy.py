@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from genquilt import greedy, oracle
 from genquilt.errors import BudgetExceededError
+from genquilt.generacci import Decomposition
 from genquilt.greedy import (
     NORMALIZE_INDEX_BUDGET,
     greedy6_decompose,
@@ -130,6 +131,20 @@ class TestSuccessRatioLimit:
             success_ratio_limit(19)
 
 
+def _literal_greedy6(m: int) -> Decomposition:
+    # The rule as the paper states it: greedy, except that a remainder of
+    # exactly 6 becomes q_4 + q_2.
+    cache = shared_cache()
+    indices = []
+    while m:
+        if m == 6:
+            indices += (4, 2)
+            break
+        indices.append(cache.index_of_largest_leq(m))
+        m -= cache.term(indices[-1])
+    return Decomposition(tuple(indices), tuple(map(cache.term, indices)))
+
+
 class TestGreedy6:
     def test_six(self):
         dec = greedy6_decompose(6)
@@ -175,11 +190,18 @@ class TestGreedy6:
         cond1, cond2 = structure_conditions(dec)
         assert cond1 != cond2
 
+    def test_matches_literal_rule_to_1e4(self):
+        for m in range(1, 10**4 + 1):
+            assert greedy6_decompose(m) == _literal_greedy6(m), m
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10**300))
+    def test_matches_literal_rule(self, m):
+        assert greedy6_decompose(m) == _literal_greedy6(m)
+
     def test_structured_decomposition_reconstructs(self):
         # the converse: ANY index set matching one of the two shapes is the
         # greedy-6 decomposition of its own value; build such sets directly
-        from genquilt.generacci import Decomposition
-
         cache = quilt_terms(60)
         rng = random.Random(3)
         for _ in range(3000):
@@ -392,6 +414,56 @@ def test_every_step_replays_against_whole_multiset_checks(parts):
     assert trace.final == greedy6_decompose(m)
     if m <= 10**4:
         assert len(trace.final) == _min_summands_to_1e4()[m]
+
+
+def _count_map_moves(parts) -> list[tuple[str, tuple[int, ...]]]:
+    # Reference move order: a per-index count map, anchors scanned from the
+    # top down with the duplicate and then n-1 .. n-4 tried at each, the scan
+    # restarting at n + 6, and the tail taken once no move applies if a 5 and
+    # a 1 are both present.  Returns (move, multiset after the move) per step.
+    counts = Counter(parts)
+    if len(counts) == len(parts):
+        cache = shared_cache()
+        desc = tuple(sorted(parts, reverse=True))
+        cond1, cond2 = structure_conditions(Decomposition(desc, tuple(map(cache.term, desc))))
+        if cond1 != cond2:
+            return []
+
+    def find(scan_from):
+        for n in range(scan_from, 0, -1):
+            if n not in counts:
+                continue
+            if counts[n] >= 2:
+                return "1", n
+            for move, d, least in (("2", 1, 2), ("3", 2, 3), ("4", 3, 4), ("5", 4, 6)):
+                if n >= least and n - d in counts:
+                    return move, n
+        return None
+
+    def apply(move, n):
+        gone, new = greedy._move_parts(move, n)
+        counts.subtract(gone)
+        counts.update(new)
+        for i in gone:
+            if not counts[i]:
+                del counts[i]
+        moves.append((move, tuple(sorted(counts.elements(), reverse=True))))
+
+    moves = []
+    scan_from = max(parts)
+    while (found := find(scan_from)) is not None:
+        apply(*found)
+        scan_from = found[1] + 6
+    if 5 in counts and 1 in counts:
+        apply("tail", 5)
+    return moves
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=300))
+def test_move_order_matches_count_map_scan(parts):
+    trace = normalize_to_greedy6(parts)
+    assert [(step.move, step.after) for step in trace.steps] == _count_map_moves(parts)
 
 
 class TestChecksAreReal:
