@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import os
-import platform
 import sys
 from fractions import Fraction
 
@@ -53,7 +52,7 @@ def _record(command: str, params: dict, rows: list[dict], tolerances: dict | Non
         "meta": {
             "tool": "genquilt",
             "version": __version__,
-            "runtime": f"python {platform.python_version()}",
+            "runtime": f"python {sys.version.split()[0]}",
             "tolerances": tolerances or {},
         },
     }

@@ -15,10 +15,10 @@ are exercised against exhaustive enumeration in the test suite.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import BudgetExceededError
+from .record import FrozenRecord
 
 #: Most terms ``generate`` and ``quilt.quilt_terms`` hand out: the n-th term
 #: has up to about n/5 digits, so the cache holds up to about n^2/10 digits.
@@ -27,16 +27,16 @@ TERMS_BUDGET = 5 * 10**4
 SEED_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class SBParams:
+class SBParams(FrozenRecord):
     """The pair (s, b): required bin gap and bin width."""
 
-    s: int
-    b: int
+    __slots__ = ("s", "b")
 
-    def __post_init__(self) -> None:
-        if self.s < 1 or self.b < 1:
-            raise ValueError(f"s and b must be >= 1, got ({self.s}, {self.b})")
+    def __init__(self, s: int, b: int) -> None:
+        self._set("s", s)
+        self._set("b", b)
+        if s < 1 or b < 1:
+            raise ValueError(f"s and b must be >= 1, got ({s}, {b})")
         if self.seed_count > SEED_BUDGET:
             raise BudgetExceededError("(s,b) seed size", self.seed_count, SEED_BUDGET)
 
@@ -46,18 +46,18 @@ class SBParams:
         return (self.s + 1) * self.b + 1
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(FrozenRecord):
     """A sum of distinct sequence terms, indices strictly decreasing."""
 
-    indices: tuple[int, ...]
-    values: tuple[int, ...]
+    __slots__ = ("indices", "values")
 
-    def __post_init__(self) -> None:
-        if len(self.indices) != len(self.values):
+    def __init__(self, indices: tuple[int, ...], values: tuple[int, ...]) -> None:
+        if len(indices) != len(values):
             raise ValueError("indices and values must align")
-        if any(a <= b for a, b in zip(self.indices, self.indices[1:])):
+        if any(a <= b for a, b in zip(indices, indices[1:])):
             raise ValueError("indices must be strictly decreasing")
+        self._set("indices", indices)
+        self._set("values", values)
 
     @property
     def total(self) -> int:

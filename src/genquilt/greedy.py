@@ -17,13 +17,11 @@ step strictly decreases.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from operator import neg
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from . import oracle
 from .errors import BudgetExceededError
 from .generacci import Decomposition, greedy_decomposition
 from .quilt import is_fq_legal, shared_cache
@@ -40,14 +38,12 @@ NORMALIZE_INDEX_BUDGET = 10**4
 _TAIL = ((5, 1), (4, 2))
 
 
-@dataclass(frozen=True)
-class GreedyOutcome:
+class GreedyOutcome(NamedTuple):
     decomposition: Decomposition
     legal: bool
 
 
-@dataclass
-class SuccessTable:
+class SuccessTable(NamedTuple):
     """h[n] = integers in [1, q_{n+1}) where plain greedy succeeds; rho[n] = h_n/(q_{n+1}-1).
 
     Index 0 is a zero pad so h[n] is h_n.
@@ -57,15 +53,13 @@ class SuccessTable:
     rho: list[Fraction]
 
 
-@dataclass(frozen=True)
-class MoveStep:
+class MoveStep(NamedTuple):
     move: str
     before: tuple[int, ...]
     after: tuple[int, ...]
 
 
-@dataclass
-class MoveTrace:
+class MoveTrace(NamedTuple):
     steps: list[MoveStep]
     final: Decomposition
 
@@ -148,6 +142,8 @@ def min_summands(m: int) -> int:
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    from . import oracle  # imported here to keep it off the CLI's start-up
+
     return oracle.min_summands_table(m)[m]
 
 

@@ -14,26 +14,26 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import BudgetExceededError
 from .generacci import SBParams
+from .record import FrozenRecord
 
 ROOT_DEGREE_BUDGET = 256  # degree s+1 of the (s,b) bin-level polynomial
 _DK_STEPS = 500  # Durand-Kerner sweeps before the roots count as unconverged
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(FrozenRecord):
     """Integer-coefficient polynomial, coefficients in ascending degree order."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        if not self.coeffs or self.coeffs[-1] == 0:
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        if not coeffs or coeffs[-1] == 0:
             raise ValueError("leading coefficient must be nonzero")
+        self._set("coeffs", coeffs)
 
     @property
     def degree(self) -> int:
@@ -96,14 +96,6 @@ def count_char() -> Polynomial:
     return monomial_poly((7, 1), (6, -1), (2, -1), (0, -1))
 
 
-def count_char_full() -> Polynomial:
-    """r^9 - r^8 - r^7 + r^6 - r^4 + 1, the raw count recurrence polynomial.
-
-    Factors exactly as (r - 1)(r + 1) times :func:`count_char`.
-    """
-    return monomial_poly((9, 1), (8, -1), (7, -1), (6, 1), (4, -1), (0, 1))
-
-
 def greedy_aux_char() -> Polynomial:
     """r^5 - r^4 - 1, for the shifted greedy-success count g_n = h_n + 1.
 
@@ -112,8 +104,7 @@ def greedy_aux_char() -> Polynomial:
     return monomial_poly((5, 1), (4, -1), (0, -1))
 
 
-@dataclass(frozen=True)
-class RootReport:
+class RootReport(NamedTuple):
     """Dominant-root analysis of one characteristic polynomial."""
 
     dominant_root: float

@@ -12,9 +12,8 @@ of the rule local to the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from . import generacci as g
 from . import quilt as q
@@ -30,8 +29,7 @@ MIN_SUMMANDS_BUDGET = 10**6
 DFS_COUNT_BUDGET = 10**12  # the walk visits every decomposition: about 1 s at 13 digits
 
 
-@dataclass
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     """All legal index subsets up to a maximum index, plus value counts."""
 
     subsets: list[tuple[int, ...]]

@@ -30,10 +30,9 @@ reference that the sweep is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from . import oracle
 from .errors import BudgetExceededError
 from .quilt import WINDOW_BAD, shared_cache
 
@@ -41,8 +40,7 @@ AVERAGE_BUDGET = 30
 COUNT_TABLES_BUDGET = 10**4  # d_n has about n/7 digits
 
 
-@dataclass
-class CountTables:
+class CountTables(NamedTuple):
     """Aligned columns d, c, b; d[n] = d_n etc.  b[0] is a zero pad (b_n starts at n = 1)."""
 
     d: list[int]
@@ -50,8 +48,7 @@ class CountTables:
     b: list[int]
 
 
-@dataclass
-class AverageReport:
+class AverageReport(NamedTuple):
     """Exact average number of decompositions over [0, q_{n+1})."""
 
     n: int
@@ -63,6 +60,8 @@ class AverageReport:
 def _seed_tables(upto: int) -> tuple[list[int], list[int], list[int]]:
     # Rows below the recurrence threshold come from exhaustive enumeration,
     # not from a hard-coded table.
+    from . import oracle  # imported here to keep it off the CLI's start-up
+
     d = [1]
     c = [1]
     b = [0]

@@ -14,8 +14,8 @@ are out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import BudgetExceededError
 from .generacci import SBParams, generate
@@ -23,8 +23,7 @@ from .generacci import SBParams, generate
 DISTRIBUTION_BUDGET = 500
 
 
-@dataclass
-class SummandDistribution:
+class SummandDistribution(NamedTuple):
     """Exact histogram of summand counts over [0, a_{bn+1})."""
 
     params: SBParams
@@ -38,8 +37,7 @@ class SummandDistribution:
         return sum(self.histogram.values())
 
 
-@dataclass(frozen=True)
-class GaussianFit:
+class GaussianFit(NamedTuple):
     """Linear fits mean ~ A n + B, variance ~ C n + D, and a normality distance."""
 
     a_hat: float

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from genquilt.errors import BudgetExceededError
 from genquilt.generacci import (
+    SEED_BUDGET,
     TERMS_BUDGET,
     Decomposition,
     SBParams,
@@ -38,6 +39,8 @@ def test_params_validation():
         SBParams(0, 1)
     with pytest.raises(ValueError):
         SBParams(1, 0)
+    with pytest.raises(BudgetExceededError):
+        SBParams(1, SEED_BUDGET)  # a seed of 2 * SEED_BUDGET + 1 terms
     with pytest.raises(ValueError):
         generate(SBParams(1, 1), 0)
 

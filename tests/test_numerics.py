@@ -15,7 +15,6 @@ from genquilt.numerics import (
     aux_is_square_free,
     complex_roots,
     count_char,
-    count_char_full,
     dominant_root,
     dominant_root_bracket,
     fit_leading_constant,
@@ -31,10 +30,20 @@ from genquilt.oracle import resultant
 GOLDEN = (1 + math.sqrt(5)) / 2
 
 
+def count_char_full() -> Polynomial:
+    """r^9 - r^8 - r^7 + r^6 - r^4 + 1, the raw count recurrence polynomial.
+
+    Factors exactly as (r - 1)(r + 1) times :func:`count_char`.
+    """
+    return monomial_poly((9, 1), (8, -1), (7, -1), (6, 1), (4, -1), (0, 1))
+
+
 class TestPolynomial:
     def test_leading_zero_rejected(self):
         with pytest.raises(ValueError):
             Polynomial((1, 0))
+        with pytest.raises(ValueError):
+            Polynomial(())
 
     def test_eval_exact_on_fractions(self):
         p = quilt_char()
