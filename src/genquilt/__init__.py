@@ -18,7 +18,6 @@ from .greedy import (
     SuccessTable,
     greedy6_decompose,
     greedy_decompose,
-    min_summands,
     normalize_to_greedy6,
     success_ratio_limit,
     success_table,
@@ -30,7 +29,7 @@ from .numerics import (
     fit_leading_constant,
     generacci_char_analysis,
 )
-from .quilt import QuiltCache, is_fq_legal, partial_sum_identity_check, quilt_terms
+from .quilt import QuiltCache, is_fq_legal, quilt_terms
 from .quilt_count import (
     AverageReport,
     CountTables,
@@ -55,7 +54,6 @@ __all__ = [
     "SuccessTable",
     "greedy_decompose",
     "greedy6_decompose",
-    "min_summands",
     "normalize_to_greedy6",
     "success_ratio_limit",
     "success_table",
@@ -66,7 +64,6 @@ __all__ = [
     "generacci_char_analysis",
     "QuiltCache",
     "is_fq_legal",
-    "partial_sum_identity_check",
     "quilt_terms",
     "AverageReport",
     "CountTables",

@@ -87,20 +87,17 @@ def _cmd_seq(args, parser) -> dict:
 
 def _cmd_decompose(args, parser) -> dict:
     params: dict = {"target": args.target, "m": str(args.m)}
+    extra: dict = {}  # columns after index and value
     if args.target == "quilt-greedy":
         outcome = greedy.greedy_decompose(args.m)
-        rows = [
-            {"index": i, "value": str(v), "legal": outcome.legal}
-            for i, v in zip(outcome.decomposition.indices, outcome.decomposition.values)
-        ]
+        dec, extra = outcome.decomposition, {"legal": outcome.legal}
     elif args.target == "quilt-greedy6":
         dec = greedy.greedy6_decompose(args.m)
-        rows = [{"index": i, "value": str(v)} for i, v in zip(dec.indices, dec.values)]
     else:
         sb = _sb(args, parser)
         params.update({"s": sb.s, "b": sb.b})
         dec = decompose(generate(sb, 1), args.m)
-        rows = [{"index": i, "value": str(v)} for i, v in zip(dec.indices, dec.values)]
+    rows = [{"index": i, "value": str(v), **extra} for i, v in zip(dec.indices, dec.values)]
     record = _record("decompose", params, rows)
     record["_columns"] = ["index", "value"]  # m = 0 decomposes to no rows
     return record
@@ -223,41 +220,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact sequences, decompositions, counts, and growth constants.",
     )
 
-    def add(name: str, targets: list[str], **flags):
+    def add(name: str, handler, targets: list[str], **flags) -> None:
         sub = commands.add_parser(name)
+        sub.set_defaults(handler=handler)
         sub.add_argument("target", choices=targets)
         for flag, kw in flags.items():
             sub.add_argument(f"--{flag.replace('_', '-')}", **kw)
         sub.add_argument("--format", choices=("json", "csv"), default="json")
-        return sub
 
     commands = parser.add_subparsers(dest="command", required=True)
     intarg = {"type": int, "required": True}
     sbargs = {"s": {"type": int}, "b": {"type": int}}
-    add("seq", ["quilt", "generacci"], count=intarg, **sbargs)
-    add("decompose", ["quilt-greedy", "quilt-greedy6", "generacci"], m=intarg, **sbargs)
-    add("count", ["quilt"], m=intarg)
-    add("tables", ["quilt-count", "greedy-success"], n=intarg)
-    add("average", ["quilt"], n=intarg)
-    add("roots", ["quilt", "generacci", "quilt-count", "greedy-aux"],
+    add("seq", _cmd_seq, ["quilt", "generacci"], count=intarg, **sbargs)
+    add("decompose", _cmd_decompose, ["quilt-greedy", "quilt-greedy6", "generacci"], m=intarg, **sbargs)
+    add("count", _cmd_count, ["quilt"], m=intarg)
+    add("tables", _cmd_tables, ["quilt-count", "greedy-success"], n=intarg)
+    add("average", _cmd_average, ["quilt"], n=intarg)
+    add("roots", _cmd_roots, ["quilt", "generacci", "quilt-count", "greedy-aux"],
         tol={"type": float, "default": DEFAULT_TOL}, **sbargs)
-    add("greedy", ["ratio"], n=intarg)
-    add("stats", ["generacci"], n_min=intarg, n_max=intarg, **sbargs)
-    add("normalize", ["quilt"], indices={"type": str, "required": True})
+    add("greedy", _cmd_greedy, ["ratio"], n=intarg)
+    add("stats", _cmd_stats, ["generacci"], n_min=intarg, n_max=intarg, **sbargs)
+    add("normalize", _cmd_normalize, ["quilt"], indices={"type": str, "required": True})
     return parser
-
-
-_HANDLERS = {
-    "seq": _cmd_seq,
-    "decompose": _cmd_decompose,
-    "count": _cmd_count,
-    "tables": _cmd_tables,
-    "average": _cmd_average,
-    "roots": _cmd_roots,
-    "greedy": _cmd_greedy,
-    "stats": _cmd_stats,
-    "normalize": _cmd_normalize,
-}
 
 
 def _emit(record: dict, fmt: str, out) -> None:
@@ -279,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        record = _HANDLERS[args.command](args, parser)
+        record = args.handler(args, parser)
     except BudgetExceededError as exc:
         print(f"genquilt: budget exceeded: {exc}", file=sys.stderr)
         return 3

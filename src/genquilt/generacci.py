@@ -139,12 +139,21 @@ class SequenceCache(RecurrenceCache):
         super().__init__(range(1, params.seed_count + 1), params.b, (params.s + 1) * params.b, params.b)
 
 
-def generate(params: SBParams, count: int) -> SequenceCache:
-    """The first ``count`` terms: literal seeds, then the depth-(s+1)b recurrence."""
+def check_sequence_length(count: int) -> None:
+    """Refuse a requested term count below 1 or above TERMS_BUDGET.
+
+    Callers run it before they build a cache, so a refused count allocates
+    nothing.
+    """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if count > TERMS_BUDGET:
         raise BudgetExceededError("sequence length", count, TERMS_BUDGET)
+
+
+def generate(params: SBParams, count: int) -> SequenceCache:
+    """The first ``count`` terms: literal seeds, then the depth-(s+1)b recurrence."""
+    check_sequence_length(count)
     cache = SequenceCache(params)
     cache.ensure_count(count)
     return cache
@@ -158,17 +167,20 @@ def bin_of(params: SBParams, index: int) -> int:
 
 
 def is_legal_sb(params: SBParams, indices: Iterable[int]) -> bool:
-    """Whether the index set is legal: distinct bins, gaps of more than s bins.
+    """Whether the index set is legal: :func:`sb_extend_ok`, folded.
 
     Two indices in one bin are illegal, so duplicate indices are too.  The
     empty set and singletons are legal.
     """
-    idx = sorted(indices)
+    idx = sorted(indices, reverse=True)
+    if idx and idx[-1] < 1:
+        raise ValueError(f"indices must be >= 1, got {idx[-1]}")
+    chosen: list[int] = []
     for i in idx:
-        if i < 1:
-            raise ValueError(f"indices must be >= 1, got {i}")
-    bins = [bin_of(params, i) for i in idx]
-    return all(nxt - cur > params.s for cur, nxt in zip(bins, bins[1:]))
+        if not sb_extend_ok(params, i, chosen):
+            return False
+        chosen.append(i)
+    return True
 
 
 def sb_extend_ok(params: SBParams, candidate: int, chosen_desc: list[int]) -> bool:

@@ -135,18 +135,6 @@ def success_ratio_limit(n: int) -> float:
     return float(success_table(n).rho[n])
 
 
-def min_summands(m: int) -> int:
-    """Fewest quilt terms (repetition allowed) summing to m, by coin-change DP.
-
-    Matching the Greedy-6 summand count is asserted in tests, never assumed.
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    from . import oracle  # imported here to keep it off the CLI's start-up
-
-    return oracle.min_summands_table(m)[m]
-
-
 # --- the rewrite engine -----------------------------------------------------
 #
 # Move k takes an anchor n and the next-lower entry of the multiset, at

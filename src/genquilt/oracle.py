@@ -83,12 +83,11 @@ def definitional_sequence(kind: Kind, count: int) -> list[int]:
     return terms
 
 
-def enumerate_legal(kind: Kind, max_index: int, *, value_cap: int | None = None) -> EnumerationResult:
+def enumerate_legal(kind: Kind, max_index: int) -> EnumerationResult:
     """Every legal index subset of {1..max_index}, the empty set included.
 
-    ``value_cap`` prunes to subsets whose sum stays at or below the cap
-    (branches are cut as soon as they exceed it).  ``by_value`` maps each
-    achieved sum to the number of subsets achieving it.
+    ``by_value`` maps each achieved sum to the number of subsets achieving
+    it.
     """
     if max_index < 1:
         raise ValueError(f"max_index must be >= 1, got {max_index}")
@@ -113,12 +112,9 @@ def enumerate_legal(kind: Kind, max_index: int, *, value_cap: int | None = None)
         by_value[total] = by_value.get(total, 0) + 1
         subsets.append(tuple(chosen))
         for i in range(max_i, 0, -1):
-            v = values[i - 1]
-            if value_cap is not None and total + v > value_cap:
-                continue
             if _extend_ok(kind, i, chosen):
                 chosen.append(i)
-                rec(i - 1, total + v)
+                rec(i - 1, total + values[i - 1])
                 chosen.pop()
 
     rec(max_index, 0)

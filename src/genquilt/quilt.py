@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import BudgetExceededError
-from .generacci import TERMS_BUDGET, RecurrenceCache
+from .generacci import RecurrenceCache, check_sequence_length
 
 #: Index differences that make a pair of summands illegal.
 FORBIDDEN_DIFFS = frozenset({1, 3, 4})
@@ -43,10 +42,7 @@ def shared_cache() -> QuiltCache:
 
 def quilt_terms(count: int) -> QuiltCache:
     """A cache holding at least the first ``count`` terms."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if count > TERMS_BUDGET:
-        raise BudgetExceededError("sequence length", count, TERMS_BUDGET)
+    check_sequence_length(count)
     cache = QuiltCache()
     cache.ensure_count(count)
     return cache
@@ -90,11 +86,3 @@ def fq_extend_ok(candidate: int, chosen_desc: list[int]) -> bool:
 #: index i+1 .. i+4 is occupied when index i is being decided; bit d-1 is set
 #: for each forbidden difference d.
 WINDOW_BAD = sum(1 << (d - 1) for d in FORBIDDEN_DIFFS)
-
-
-def partial_sum_identity_check(n: int) -> bool:
-    """Whether q_1 + ... + q_n == q_{n+5} - 6 holds exactly at ``n``."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    cache = shared_cache()
-    return sum(cache.terms(n)) == cache.term(n + 5) - 6

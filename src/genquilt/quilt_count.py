@@ -57,29 +57,18 @@ class AverageReport(NamedTuple):
     exponent_estimate: float | None
 
 
-def _seed_tables(upto: int) -> tuple[list[int], list[int], list[int]]:
-    # Rows below the recurrence threshold come from exhaustive enumeration,
-    # not from a hard-coded table.
-    from . import oracle  # imported here to keep it off the CLI's start-up
-
-    d = [1]
-    c = [1]
-    b = [0]
-    for n in range(1, upto + 1):
-        subsets = oracle.enumerate_legal("quilt", n).subsets
-        d.append(len(subsets))
-        c.append(sum(1 for s in subsets if n in s))
-        b.append(sum(1 for s in subsets if n in s and n - 2 in s))
-    return d, c, b
+#: (d_n, c_n, b_n) for n = 0..6, below the recurrences' reach (the tests
+#: check them against exhaustive enumeration).
+_SEED_ROWS = ((1, 1, 0), (2, 1, 0), (3, 1, 0), (4, 1, 0), (6, 2, 1), (8, 2, 1), (11, 3, 1))
 
 
 def count_tables(n_max: int) -> CountTables:
-    """d, c, b for 0..n_max: enumeration seeds below 7, recurrences beyond."""
+    """d, c, b for 0..n_max: literal seed rows below 7, recurrences beyond."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if n_max > COUNT_TABLES_BUDGET:
         raise BudgetExceededError("count table size", n_max, COUNT_TABLES_BUDGET)
-    d, c, b = _seed_tables(min(n_max, 6))
+    d, c, b = (list(col) for col in zip(*_SEED_ROWS[: n_max + 1]))
     for n in range(7, n_max + 1):
         b.append(d[n - 7])
         c.append(d[n - 5] + c[n - 2] - b[n - 2])

@@ -136,7 +136,7 @@ def test_criterion_07_uniqueness():
                 params = SBParams(s, b)
                 cache = generate(params, 1)
                 top = cache.index_of_largest_leq(5000)
-                result = enumerate_legal(params, top, value_cap=5000)
+                result = enumerate_legal(params, top)
                 by_value: dict[int, tuple[int, ...]] = {}
                 for sub in result.subsets:
                     value = sum(cache.term(i) for i in sub)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from genquilt.cli import main
 from genquilt.greedy import NORMALIZE_PARTS_BUDGET
 from genquilt.quilt import quilt_terms
+from test_readme_golden import readme_commands
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -224,11 +226,19 @@ class TestHarness:
 
     def test_import_needs_no_mpmath(self):
         # Every CLI run is a fresh process that pays for these imports:
-        # dataclasses alone pulls in inspect, ast, dis and tokenize, and the
-        # oracle serves only the tests and two cold paths.
+        # dataclasses alone pulls in inspect, ast, dis and tokenize.  The
+        # oracle is the tests' reference, so no library path may load it:
+        # every README example runs here before the check.
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         unwanted = ("mpmath", "dataclasses", "inspect", "platform", "genquilt.oracle")
-        code = f"import sys, genquilt.cli; print([m for m in {unwanted!r} if m in sys.modules])"
+        examples = [shlex.split(command) for command in readme_commands()]
+        code = (
+            "import contextlib, io, sys, genquilt.cli\n"
+            f"for argv in {examples!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert genquilt.cli.main(argv) == 0, argv\n"
+            f"print([m for m in {unwanted!r} if m in sys.modules])"
+        )
         proc = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,

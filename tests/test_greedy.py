@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genquilt import greedy, oracle
+from genquilt import greedy
 from genquilt.errors import BudgetExceededError
 from genquilt.generacci import Decomposition
 from genquilt.greedy import (
@@ -18,13 +18,12 @@ from genquilt.greedy import (
     greedy6_decompose,
     greedy_decompose,
     greedy_failures,
-    min_summands,
     normalize_to_greedy6,
     structure_conditions,
     success_ratio_limit,
     success_table,
 )
-from genquilt.oracle import min_summands_table
+from genquilt.oracle import MIN_SUMMANDS_BUDGET, min_summands_table
 from genquilt.quilt import is_fq_legal, quilt_terms, shared_cache
 from genquilt.rendering import percent_string
 
@@ -222,19 +221,11 @@ class TestGreedy6:
 
 class TestMinSummands:
     def test_six(self):
-        assert min_summands(6) == 2
-
-    def test_exact_term(self):
-        cache = quilt_terms(20)
-        for n in (1, 7, 15):
-            assert min_summands(cache.term(n)) == 1
-
-    def test_27(self):
-        assert min_summands(27) == 3
+        assert min_summands_table(6)[6] == 2
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
-            min_summands(oracle.MIN_SUMMANDS_BUDGET + 1)
+            min_summands_table(MIN_SUMMANDS_BUDGET + 1)
 
     def test_equals_greedy6_count(self):
         table = min_summands_table(10**4)

@@ -78,13 +78,6 @@ class TestEnumeration:
             assert {m: result.by_value.get(m, 0) for m in range(end)} == {m: 1 for m in range(end)}
             assert all(v >= 0 for v in result.by_value.values())
 
-    def test_value_cap_prunes(self):
-        capped = enumerate_legal("quilt", 12, value_cap=20)
-        assert all(sum(quilt_terms(12).term(i) for i in sub) <= 20 for sub in capped.subsets)
-        full = enumerate_legal("quilt", 12)
-        expect = {v: c for v, c in full.by_value.items() if v <= 20}
-        assert capped.by_value == expect
-
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             enumerate_legal("quilt", 46)
@@ -114,6 +107,16 @@ class TestMinSummands:
 
     def test_one(self):
         assert min_summands_table(1)[1] == 1
+
+    def test_exact_term(self):
+        cache = quilt_terms(20)
+        table = min_summands_table(cache.term(15))
+        for n in (1, 7, 15):
+            assert table[cache.term(n)] == 1
+
+    def test_27(self):
+        # greedy takes 21 + 5 + 1, which is illegal; 21 + 4 + 2 is minimal
+        assert min_summands_table(27)[27] == 3
 
     def test_106(self):
         # consistent with the three-summand decomposition 65 + 37 + 4

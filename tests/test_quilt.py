@@ -7,12 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genquilt.quilt import (
-    QuiltCache,
-    is_fq_legal,
-    partial_sum_identity_check,
-    quilt_terms,
-)
+from genquilt.quilt import QuiltCache, is_fq_legal, quilt_terms
 
 # Start of the sequence as forced by the definition (cross-derived from the
 # definitional scan in test_oracle).
@@ -54,12 +49,12 @@ def test_both_recurrences_exactly():
 
 
 def test_partial_sum_identity():
-    assert partial_sum_identity_check(1)  # 1 = 7 - 6
-    assert partial_sum_identity_check(5)  # 15 = 21 - 6
-    cache = quilt_terms(30)
+    cache = quilt_terms(505)
+    assert sum(cache.terms(1)) == cache.term(6) - 6 == 1
+    assert sum(cache.terms(5)) == cache.term(10) - 6 == 15
     assert sum(cache.terms(16)) == cache.term(21) - 6 == 459
     for n in range(1, 501):
-        assert partial_sum_identity_check(n)
+        assert sum(cache.terms(n)) == cache.term(n + 5) - 6
 
 
 class TestLegality:
