@@ -25,8 +25,6 @@ from .errors import BudgetExceededError
 from .generacci import SBParams, decompose, generate
 from .rendering import decimal_string, percent_string
 
-DEFAULT_TOL = 1e-12
-
 
 def _fmt_float(x: float | None) -> str:
     return "" if x is None else format(x, ".12g")
@@ -237,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("tables", _cmd_tables, ["quilt-count", "greedy-success"], n=intarg)
     add("average", _cmd_average, ["quilt"], n=intarg)
     add("roots", _cmd_roots, ["quilt", "generacci", "quilt-count", "greedy-aux"],
-        tol={"type": float, "default": DEFAULT_TOL}, **sbargs)
+        tol={"type": float, "default": numerics.DEFAULT_TOL}, **sbargs)
     add("greedy", _cmd_greedy, ["ratio"], n=intarg)
     add("stats", _cmd_stats, ["generacci"], n_min=intarg, n_max=intarg, **sbargs)
     add("normalize", _cmd_normalize, ["quilt"], indices={"type": str, "required": True})

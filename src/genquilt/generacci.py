@@ -194,11 +194,14 @@ def sb_extend_ok(params: SBParams, candidate: int, chosen_desc: list[int]) -> bo
     return bin_of(params, chosen_desc[-1]) - bin_of(params, candidate) > params.s
 
 
-def greedy_decomposition(cache: RecurrenceCache, m: int) -> Decomposition:
+def decompose(cache: RecurrenceCache, m: int) -> Decomposition:
     """Repeatedly subtract the largest term not exceeding the remainder.
 
+    For an (s,b) cache this is the unique legal decomposition of ``m`` >= 0.
     The cache grows as needed, and m = 0 yields the empty decomposition.
     """
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
     indices: list[int] = []
     values: list[int] = []
     remaining = m
@@ -208,14 +211,3 @@ def greedy_decomposition(cache: RecurrenceCache, m: int) -> Decomposition:
         values.append(cache.term(i))
         remaining -= values[-1]
     return Decomposition(tuple(indices), tuple(values))
-
-
-def decompose(cache: SequenceCache, m: int) -> Decomposition:
-    """The unique legal decomposition of ``m`` >= 0, found greedily.
-
-    Repeatedly subtracts the largest term not exceeding the remainder; the
-    cache grows as needed.  m = 0 yields the empty decomposition.
-    """
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    return greedy_decomposition(cache, m)

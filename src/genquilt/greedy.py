@@ -23,7 +23,7 @@ from operator import neg
 from typing import Iterable, NamedTuple
 
 from .errors import BudgetExceededError
-from .generacci import Decomposition, greedy_decomposition
+from .generacci import Decomposition, decompose
 from .quilt import is_fq_legal, shared_cache
 
 SUCCESS_TABLE_BUDGET = 10**4  # each rho_n reduces a fraction of about n/8 digits
@@ -68,7 +68,7 @@ def greedy_decompose(m: int) -> GreedyOutcome:
     """Repeatedly subtract the largest q_i <= remainder; flag legality."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    dec = greedy_decomposition(shared_cache(), m)
+    dec = decompose(shared_cache(), m)
     return GreedyOutcome(dec, is_fq_legal(dec.indices))
 
 
@@ -81,7 +81,7 @@ def greedy6_decompose(m: int) -> Decomposition:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     cache = shared_cache()
-    dec = greedy_decomposition(cache, m)
+    dec = decompose(cache, m)
     if dec.indices[-2:] != _TAIL[0]:
         return dec
     return Decomposition(dec.indices[:-2] + _TAIL[1], dec.values[:-2] + tuple(map(cache.term, _TAIL[1])))
@@ -106,15 +106,11 @@ def structure_conditions(dec: Decomposition) -> tuple[bool, bool]:
     return cond1, cond2
 
 
-def greedy_failures(limit: int) -> list[int]:
-    """All m in [1, limit] where plain greedy yields an illegal decomposition."""
-    return [m for m in range(1, limit + 1) if not greedy_decompose(m).legal]
-
-
 def success_table(n_max: int) -> SuccessTable:
     """h_n and rho_n for n = 1..n_max: h_k = k for k <= 5, then h_n = h_{n-1} + h_{n-5} + 1.
 
-    Counted directly, h_n is q_{n+1} - 1 less the greedy failures below q_{n+1}.
+    Counted directly, h_n is q_{n+1} - 1 less the greedy failures below q_{n+1}
+    (``oracle.greedy_failures``).
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -126,13 +122,6 @@ def success_table(n_max: int) -> SuccessTable:
         h.append(h[n - 1] + h[n - 5] + 1)
     rho = [Fraction(0)] + [Fraction(h[n], cache.term(n + 1) - 1) for n in range(1, n_max + 1)]
     return SuccessTable(h, rho)
-
-
-def success_ratio_limit(n: int) -> float:
-    """rho_n from exact integers; approaches about 0.92627 as n grows."""
-    if n < 20:
-        raise ValueError(f"n must be >= 20 for a limit estimate, got {n}")
-    return float(success_table(n).rho[n])
 
 
 # --- the rewrite engine -----------------------------------------------------

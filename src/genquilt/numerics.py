@@ -21,6 +21,8 @@ from .errors import BudgetExceededError
 from .generacci import SBParams
 from .record import FrozenRecord
 
+#: Default bracket width of dominant_root and generacci_char_analysis.
+DEFAULT_TOL = 1e-12
 ROOT_DEGREE_BUDGET = 256  # degree s+1 of the (s,b) bin-level polynomial
 _DK_STEPS = 500  # Durand-Kerner sweeps before the roots count as unconverged
 
@@ -48,13 +50,6 @@ class Polynomial(FrozenRecord):
 
     def derivative(self) -> "Polynomial":
         return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        out = [0] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(tuple(out))
 
     def __str__(self) -> str:
         parts = []
@@ -204,7 +199,7 @@ def _secondary_modulus(p: Polynomial, dominant: float) -> float:
     return max((abs(z) for z in rest), default=0.0)
 
 
-def dominant_root(p: Polynomial, tol: float = 1e-12) -> RootReport:
+def dominant_root(p: Polynomial, tol: float = DEFAULT_TOL) -> RootReport:
     """The unique positive root exceeding 1, plus the next-largest modulus.
 
     The caller asserts such a root exists (true for every in-scope
@@ -235,31 +230,23 @@ def _newton_polish(p: Polynomial, x0: Fraction, lo: Fraction, hi: Fraction) -> f
     return x
 
 
-def aux_is_square_free(params: SBParams) -> bool:
-    """Whether y^{s+1} - y^s - b has only simple roots, decided exactly.
-
-    The derivative is y^{s-1}((s+1)y - s), so a repeated root can only be
-    0 or s/(s+1).
-    """
-    aux = generacci_aux(params)
-    return aux(0) != 0 and aux(Fraction(params.s, params.s + 1)) != 0
-
-
-def generacci_char_analysis(params: SBParams, tol: float = 1e-12) -> RootReport:
+def generacci_char_analysis(params: SBParams, tol: float = DEFAULT_TOL) -> RootReport:
     """Dominant root of the (s,b) system via the bin-level polynomial.
 
     Brackets the unique positive root r of y^{s+1} - y^s - b (it lies in
     (1, b+2): the value at 1 is -b and at b+1 is positive) and reports
     lambda = r^{1/b}.  On y >= 1 the map y -> y^{1/b} has slope at most 1/b,
     so the bracket width divided by b bounds the error of lambda.  Checks
-    square-freeness exactly, and r > 1 via the bracket.
+    r > 1 via the bracket.
+
+    The polynomial is square-free for every s, b >= 1: its derivative is
+    y^{s-1}((s+1)y - s), so a repeated root could only be 0 or s/(s+1), but
+    aux(0) = -b and aux(s/(s+1)) = -(s/(s+1))^s/(s+1) - b are both negative.
     """
     half_tol = _exact_tol(tol) / 2
     if params.s + 1 > ROOT_DEGREE_BUDGET:
         raise BudgetExceededError("(s,b) root degree", params.s + 1, ROOT_DEGREE_BUDGET)
     aux = generacci_aux(params)
-    if not aux_is_square_free(params):
-        raise ArithmeticError(f"repeated root in {aux}")  # impossible for b >= 1
     b = params.b
     # bracket the y-root at half the tolerance so the bound stays within tol
     # even for b = 1; the Cauchy bound scan covers (1, b+2]

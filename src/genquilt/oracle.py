@@ -3,11 +3,13 @@
 Everything here exists to be obviously correct rather than fast: sequences
 rebuilt from their literal definitions by scanning for the smallest
 non-representable integer, exhaustive legal-subset enumeration, a
-depth-first decomposition counter, a plain coin-change DP for minimal
-summand counts, and a Sylvester-matrix resultant.  Closed-form generators,
-counting recurrences and exact shortcuts are validated against these.  Only
-the legality predicates are shared; their reference is a literal statement
-of the rule local to the tests.
+depth-first decomposition counter, a scan of plain greedy for its failures
+(which the success-table recurrence is checked against), a plain
+coin-change DP for minimal summand counts, and a Sylvester-matrix
+resultant.  Closed-form generators, counting recurrences and exact
+shortcuts are validated against these.  Only the legality predicates, and
+plain greedy in the failure scan, are shared; the predicates' reference is
+a literal statement of the rule local to the tests.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Literal, NamedTuple
 from . import generacci as g
 from . import quilt as q
 from .errors import BudgetExceededError
+from .greedy import greedy_decompose
 from .numerics import Polynomial
 
 Kind = g.SBParams | Literal["quilt"]
@@ -151,6 +154,11 @@ def count_decompositions_dfs(m: int) -> int:
         return total
 
     return rec(top, m, 0, False)
+
+
+def greedy_failures(limit: int) -> list[int]:
+    """All m in [1, limit] where plain greedy yields an illegal decomposition."""
+    return [m for m in range(1, limit + 1) if not greedy_decompose(m).legal]
 
 
 def min_summands_table(m_max: int) -> list[int]:

@@ -2,7 +2,7 @@
 
 Plain result records are ``typing.NamedTuple``s.  ``SBParams``,
 ``Decomposition`` and ``Polynomial`` check their input instead, and a tuple
-base would clash with ``Decomposition.__len__`` and ``Polynomial.__mul__``.
+base would clash with ``Decomposition.__len__``.
 """
 
 

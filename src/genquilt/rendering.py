@@ -18,6 +18,6 @@ def decimal_string(value: Fraction, places: int) -> str:
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
-def percent_string(ratio: Fraction, places: int = 4) -> str:
-    """A ratio as a percentage with ``places`` decimals, e.g. 92.4623."""
-    return decimal_string(ratio * 100, places)
+def percent_string(ratio: Fraction) -> str:
+    """A ratio as a percentage with four decimals, e.g. 92.4623."""
+    return decimal_string(ratio * 100, 4)

@@ -16,14 +16,12 @@ from genquilt.cli import main as cli_main
 from genquilt.generacci import SBParams, decompose, generate, is_legal_sb
 from genquilt.greedy import (
     greedy6_decompose,
-    greedy_failures,
     normalize_to_greedy6,
     structure_conditions,
-    success_ratio_limit,
     success_table,
 )
 from genquilt.numerics import count_char, dominant_root, dominant_root_bracket, fit_leading_constant, quilt_char
-from genquilt.oracle import enumerate_legal, min_summands_table
+from genquilt.oracle import enumerate_legal, greedy_failures, min_summands_table
 from genquilt.quilt import is_fq_legal, quilt_terms
 from genquilt.quilt_count import average_decompositions, count_decompositions, count_tables
 from genquilt.rendering import percent_string
@@ -113,7 +111,7 @@ def test_criterion_05_constants():
         assert abs(quilt_report.secondary_modulus - 0.8688) <= 1e-3
         alpha = fit_leading_constant(quilt_terms(60).terms(60), quilt_report.dominant_root, 1)
         assert abs(alpha.value - 1.26724) <= 1e-4
-        assert abs(success_ratio_limit(100) - 0.92627) <= 5e-5
+        assert abs(float(success_table(100).rho[100]) - 0.92627) <= 5e-5
 
 
 def test_criterion_06_decompositions_of_106():

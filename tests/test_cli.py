@@ -248,6 +248,27 @@ class TestHarness:
         assert proc.returncode == 0, proc.stderr.decode()
         assert proc.stdout == b"[]\n"
 
+    def test_package_root_loads_no_submodules(self):
+        # Names are imported from their modules, so the package root loads
+        # only what its one export needs, and a program importing two
+        # modules pays for those two and their own imports.
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        heavy = ("genquilt.greedy", "genquilt.numerics", "genquilt.quilt_count", "genquilt.stats")
+        code = (
+            "import sys, genquilt\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'genquilt'))\n"
+            "from genquilt import generacci, quilt\n"
+            f"print([m for m in {heavy!r} if m in sys.modules])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == b"['genquilt', 'genquilt.errors']\n[]\n"
+
     def test_reader_closing_pipe_early_is_not_an_error(self):
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         proc = subprocess.Popen(

@@ -17,13 +17,11 @@ from genquilt.greedy import (
     NORMALIZE_INDEX_BUDGET,
     greedy6_decompose,
     greedy_decompose,
-    greedy_failures,
     normalize_to_greedy6,
     structure_conditions,
-    success_ratio_limit,
     success_table,
 )
-from genquilt.oracle import MIN_SUMMANDS_BUDGET, min_summands_table
+from genquilt.oracle import MIN_SUMMANDS_BUDGET, greedy_failures, min_summands_table
 from genquilt.quilt import is_fq_legal, quilt_terms, shared_cache
 from genquilt.rendering import percent_string
 
@@ -116,7 +114,7 @@ class TestSuccessTable:
 
 class TestSuccessRatioLimit:
     def test_limit_value(self):
-        assert success_ratio_limit(100) == pytest.approx(0.92627, abs=5e-5)
+        assert float(success_table(100).rho[100]) == pytest.approx(0.92627, abs=5e-5)
 
     def test_matches_table_17(self):
         assert float(success_table(17).rho[17]) == pytest.approx(0.924623, abs=1e-6)
@@ -124,10 +122,6 @@ class TestSuccessRatioLimit:
     def test_cauchy_contraction(self):
         table = success_table(40)
         assert abs(table.rho[40] - table.rho[20]) < abs(table.rho[20] - table.rho[10])
-
-    def test_requires_large_n(self):
-        with pytest.raises(ValueError):
-            success_ratio_limit(19)
 
 
 def _literal_greedy6(m: int) -> Decomposition:
