@@ -18,14 +18,20 @@ total/q_{n+1} with the value filter applied).
 Per-integer counts and the value-filtered totals behind the averages come
 from one iterative sweep of the legality automaton (the transfer-matrix
 method).  It decides the indices from the top down and keeps a dict from
-state (budget left, 4-bit window mask, {1,3} flag) to an exact number of
-ways; equal states merge, so about ten survive per index.  The budget is
-compared with the sum of the terms below the current index i, which is
-q_1 + ... + q_{i-1} = q_{i+4} - 6 (0 at i = 1).  In exact-sum mode a state
-whose remainder exceeds it is pruned.  In below-limit mode a state whose
-slack covers it drops its budget and runs on as the plain occupancy
-automaton.  ``oracle.count_decompositions_dfs`` is the naive depth-first
-reference that the sweep is tested against.
+state (budget left, 4-bit window mask) to an exact number of ways; equal
+states merge.  No legal set over 1..i sums past
+
+  cap_i = q_i + q_{i-2} + cap_{i-7}  (q_j = cap_j = 0 for j <= 0):
+
+gaps of 1, 3 and 4 are illegal, so three summands within seven consecutive
+indices would need gaps 2 and 2 (then 4 apart) or 5 and 1.  So any seven
+consecutive indices hold at most two summands, 2, 5 or 6 apart and worth at
+most q_j + q_{j-2} for the window's top index j.  In exact-sum mode a
+remainder above cap_{i-1} is pruned, which leaves 3 to 4 states per index
+(about 11 at m = q_1200).  In below-limit mode a state whose slack reaches
+cap_{i-1} drops its budget and runs on as the plain occupancy automaton.
+``oracle.count_decompositions_dfs`` is the naive depth-first reference that
+the sweep is tested against.
 """
 
 from __future__ import annotations
@@ -76,39 +82,53 @@ def count_tables(n_max: int) -> CountTables:
     return CountTables(d, c, b)
 
 
+# Window masks after skipping or taking index i (a take of -1 is illegal).
+# At index 1, mask bit 1 is index 3, and the pair {1, 3} is illegal.
+_SKIP = tuple((mask << 1) & 0b1111 for mask in range(16))
+_TAKE = tuple(-1 if mask & WINDOW_BAD else skip | 1 for mask, skip in enumerate(_SKIP))
+_TAKE_AT_1 = tuple(-1 if mask & 0b10 else take for mask, take in enumerate(_TAKE))
+
+
+def _legal_sum_caps(q: list[int], top: int) -> list[int]:
+    """cap[i] for i = 0..top (module docstring), from q[i] = q_i."""
+    cap = [0] * (top + 1)
+    for i in range(1, top + 1):
+        cap[i] = q[i] + (q[i - 2] if i > 2 else 0) + (cap[i - 7] if i > 7 else 0)
+    return cap
+
+
 def _sweep(top: int, budget: int, *, exact: bool) -> int:
     """Legal index sets over 1..top summing to exactly ``budget`` (``exact``)
-    or to at most ``budget`` (not ``exact``).
-
-    After index i is decided, the lower terms can add at most ``below`` =
-    q_1 + ... + q_{i-1}.  An exact state with more left can never reach 0 and
-    is dropped; one with 0 left completes in exactly one way (take nothing
-    more) and is counted at once.  A bounded state with at least ``below``
-    left fits every completion, so its budget becomes None.
+    or to at most ``budget``, pruned on ``cap`` (module docstring).  An exact
+    state with 0 left completes one way (take nothing more), counted at once.
     """
-    q = [0, *shared_cache().terms(top + 4)]  # q[i] = q_i
-    states: dict[tuple[int | None, int, bool], int] = {(budget, 0, False): 1}
+    q = [0, *shared_cache().terms(top)]  # q[i] = q_i
+    cap = _legal_sum_caps(q, top)
+    states: dict[tuple[int | None, int], int] = {(budget, 0): 1}
     hit = 0
     for i in range(top, 0, -1):
-        v = q[i]
-        below = q[i + 4] - 6 if i > 1 else 0
-        nxt: dict = {}
-        for (left, mask, three), ways in states.items():
-            shifted = (mask << 1) & 0b1111
-            succ = [(left, shifted, three)]
-            if (left is None or v <= left) and not mask & WINDOW_BAD and not (i == 1 and three):
-                succ.append((None if left is None else left - v, shifted | 1, three or i == 3))
-            for key in succ:
-                rest = key[0]
-                if exact:
-                    if rest == 0:
+        v, below = q[i], cap[i - 1]
+        takes = _TAKE_AT_1 if i == 1 else _TAKE
+        nxt: dict[tuple[int | None, int], int] = {}
+        for (left, mask), ways in states.items():
+            take = takes[mask]
+            if exact:  # left > 0 here
+                if left <= below:
+                    key = (left, _SKIP[mask])
+                    nxt[key] = nxt.get(key, 0) + ways
+                if take >= 0 and v <= left:
+                    left -= v
+                    if not left:
                         hit += ways
-                        continue
-                    if rest > below:
-                        continue
-                elif rest is not None and rest >= below:
-                    key = (None, key[1], key[2])
+                    elif left <= below:
+                        key = (left, take)
+                        nxt[key] = nxt.get(key, 0) + ways
+                continue
+            if take >= 0 and (left is None or v <= left):
+                key = (None if left is None or left - v >= below else left - v, take)
                 nxt[key] = nxt.get(key, 0) + ways
+            key = (None if left is None or left >= below else left, _SKIP[mask])
+            nxt[key] = nxt.get(key, 0) + ways
         states = nxt
     return hit + sum(states.values())
 
@@ -118,10 +138,10 @@ def count_decompositions(m: int) -> int:
 
     One downward sweep of the occupancy automaton from the largest index
     whose term is at most ``m``.  Its state is (remainder, 4-bit window
-    mask, {1,3} flag), about ten of them per index.  A remainder above the
-    sum of the terms below the current index is pruned; that sum is exact by
-    the identity q_1 + ... + q_i = q_{i+5} - 6.  The work tracks the index of
-    ``m`` (about eight indices per decimal digit), not the count returned.
+    mask), 3 to 4 of them per index.  A remainder above the legal-sum bound
+    on the terms below the current index is pruned (module docstring).  The
+    work tracks the index of ``m`` (about eight indices per decimal digit),
+    not the count returned.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")

@@ -1,5 +1,6 @@
 """Decomposition counting: tables, per-integer counts, exact averages."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -11,10 +12,19 @@ from genquilt.numerics import count_char, dominant_root
 from genquilt.oracle import count_decompositions_dfs, enumerate_legal
 from genquilt.quilt import quilt_terms
 from genquilt.quilt_count import (
+    _legal_sum_caps,
+    _sweep,
     average_decompositions,
     count_decompositions,
     count_tables,
 )
+
+
+def _caps(top):
+    """q[i] = q_i and the sweep's legal-sum bounds cap[i], for i = 0..top."""
+    q = [0, *quilt_terms(top).terms(top)]
+    return q, _legal_sum_caps(q, top)
+
 
 # d_n, c_n, b_n for n = 1..13, derived by exhaustive enumeration (the same
 # values the oracle reproduces live in test_oracle_equivalence below).
@@ -113,9 +123,43 @@ class TestCountDecompositions:
         # and q_1200 has 146, far past what a depth-first walk finishes.
         assert count_decompositions(quilt_terms(n).term(n)) == 1
 
+    @pytest.mark.parametrize(
+        "m, count",
+        [
+            (10**139 + 1, 1326631152643801804800000),
+            (7 * 10**165 + 3, 8053588979611776075945000960000),
+        ],
+    )
+    def test_pinned_counts_past_the_dfs_range(self, m, count):
+        # Computed by the sweep that pruned on q_1 + ... + q_{i-1}.
+        assert count_decompositions(m) == count
+
+    def test_matches_oracle_dfs_at_pruning_boundaries(self):
+        # m at cap_i and at q_i, give or take 2: the edges where exact-sum
+        # mode prunes or counts a state, so a < written for <= shows here.
+        q, cap = _caps(45)
+        for i in range(1, 46):
+            for delta in range(-2, 3):
+                for m in (cap[i] + delta, q[i] + delta):
+                    if m >= 0:
+                        assert count_decompositions(m) == count_decompositions_dfs(m), (i, m)
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             count_decompositions(-1)
+
+
+class TestLegalSumCaps:
+    def test_caps_bound_every_legal_sum(self):
+        _, cap = _caps(30)
+        for n in range(1, 31):
+            assert cap[n] >= max(enumerate_legal("quilt", n).by_value), n
+
+    def test_caps_never_exceed_the_partial_sums(self):
+        q, cap = _caps(200)
+        assert cap[0] == 0
+        for n in range(1, 201):
+            assert cap[n] <= sum(q[1 : n + 1]), n
 
 
 class TestAverages:
@@ -155,6 +199,22 @@ class TestAverages:
         for n in range(20, 31):
             rep = average_decompositions(n)
             assert rep.exponent_estimate == pytest.approx(target, abs=0.02), n
+
+    def test_below_limit_sweep_at_every_budget(self):
+        # Averages only ask for budgets q_{n+1} - 1; any budget must count
+        # the legal subsets of 1..n worth at most it.
+        for n in range(1, 15):
+            by_value = enumerate_legal("quilt", n).by_value
+            for budget in range(0, quilt_terms(n + 2).term(n + 2) + 1):
+                expected = sum(k for v, k in by_value.items() if v <= budget)
+                assert _sweep(n, budget, exact=False) == expected, (n, budget)
+
+    def test_totals_pinned_through_the_budget(self):
+        # SHA-256 of the space-separated totals for n = 1..30, computed by the
+        # sweep that dropped budgets on q_1 + ... + q_{i-1}.
+        totals = " ".join(str(average_decompositions(n).total) for n in range(1, 31))
+        digest = hashlib.sha256(totals.encode()).hexdigest()
+        assert digest == "e5baff4add2736249632f057dcc4e65344d4c8b4773c9be525d09344ce643ad8"
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
