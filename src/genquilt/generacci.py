@@ -167,31 +167,17 @@ def bin_of(params: SBParams, index: int) -> int:
 
 
 def is_legal_sb(params: SBParams, indices: Iterable[int]) -> bool:
-    """Whether the index set is legal: :func:`sb_extend_ok`, folded.
+    """Whether the index set is legal: neighbouring bins more than s apart.
 
-    Two indices in one bin are illegal, so duplicate indices are too.  The
-    empty set and singletons are legal.
+    Bins are monotone in index, so neighbours in index order are enough.  Two
+    indices in one bin are illegal, so duplicate indices are too.  The empty
+    set and singletons are legal.
     """
-    idx = sorted(indices, reverse=True)
-    if idx and idx[-1] < 1:
-        raise ValueError(f"indices must be >= 1, got {idx[-1]}")
-    chosen: list[int] = []
-    for i in idx:
-        if not sb_extend_ok(params, i, chosen):
-            return False
-        chosen.append(i)
-    return True
-
-
-def sb_extend_ok(params: SBParams, candidate: int, chosen_desc: list[int]) -> bool:
-    """Whether ``candidate`` may join ``chosen_desc`` (strictly decreasing).
-
-    Bins are monotone in index, so only the nearest (= smallest) chosen index
-    constrains the candidate.
-    """
-    if not chosen_desc:
-        return True
-    return bin_of(params, chosen_desc[-1]) - bin_of(params, candidate) > params.s
+    idx = sorted(indices)
+    if idx and idx[0] < 1:
+        raise ValueError(f"indices must be >= 1, got {idx[0]}")
+    bins = [bin_of(params, i) for i in idx]
+    return all(hi - lo > params.s for lo, hi in zip(bins, bins[1:]))
 
 
 def decompose(cache: RecurrenceCache, m: int) -> Decomposition:

@@ -7,9 +7,9 @@ depth-first decomposition counter, a scan of plain greedy for its failures
 (which the success-table recurrence is checked against), a plain
 coin-change DP for minimal summand counts, and a Sylvester-matrix
 resultant.  Closed-form generators, counting recurrences and exact
-shortcuts are validated against these.  Only the legality predicates, and
-plain greedy in the failure scan, are shared; the predicates' reference is
-a literal statement of the rule local to the tests.
+shortcuts are validated against these.  Both legality rules are stated
+here again, literally, apart from the library's automaton and bin scan;
+only plain greedy, in the failure scan, is shared.
 """
 
 from __future__ import annotations
@@ -40,9 +40,14 @@ class EnumerationResult(NamedTuple):
 
 
 def _extend_ok(kind: Kind, candidate: int, chosen_desc: list[int]) -> bool:
+    """Whether ``candidate`` may join ``chosen_desc``, every one of which is
+    at least as large: each rule stated pairwise, over every chosen index."""
     if kind == "quilt":
-        return q.fq_extend_ok(candidate, chosen_desc)
-    return g.sb_extend_ok(kind, candidate, chosen_desc)
+        if candidate == 1 and 3 in chosen_desc:
+            return False
+        return all(j - candidate not in (0, 1, 3, 4) for j in chosen_desc)
+    s, b = kind.s, kind.b
+    return all((j - 1) // b - (candidate - 1) // b > s for j in chosen_desc)
 
 
 def definitional_sequence(kind: Kind, count: int) -> list[int]:
@@ -148,7 +153,8 @@ def count_decompositions_dfs(m: int) -> int:
             return 0  # even taking everything below i cannot reach
         total = 0
         v = term(i)
-        if v <= remaining and not mask & q.WINDOW_BAD and not (i == 1 and three_used):
+        # bits 0, 2, 3 of the window: indices i+1, i+3, i+4
+        if v <= remaining and not mask & 0b1101 and not (i == 1 and three_used):
             total += rec(i - 1, remaining - v, ((mask << 1) | 1) & 0b1111, three_used or i == 3)
         total += rec(i - 1, remaining, (mask << 1) & 0b1111, three_used)
         return total

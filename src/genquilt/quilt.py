@@ -7,6 +7,9 @@ terms, where a set of summand indices is legal iff no two indices differ by
 is allowed; 1 and 3 are the lone exception, inherited from the start of the
 quilt spiral.)  Apart from a few initial terms this is the Padovan sequence,
 OEIS A000931.
+
+The rule is stated once, as a 16-state window automaton: ``is_fq_legal``
+runs it over one index set, and ``quilt_count`` sweeps it over all of them.
 """
 
 from __future__ import annotations
@@ -17,6 +20,18 @@ from .generacci import RecurrenceCache, check_sequence_length
 
 #: Index differences that make a pair of summands illegal.
 FORBIDDEN_DIFFS = frozenset({1, 3, 4})
+
+# The legality automaton, the rule's one statement.  It decides indices from
+# the top down; bit d-1 of the 4-bit window mask flags index i+d as taken
+# when index i is decided.  SKIP[mask] and TAKE[mask] are the masks after
+# skipping or taking index i, and a take of -1 is illegal.  At index 1, bit 1
+# is index 3, and the pair {1, 3} is illegal.
+SKIP = tuple((mask << 1) & 0b1111 for mask in range(16))
+TAKE = tuple(
+    -1 if any(mask >> (d - 1) & 1 for d in FORBIDDEN_DIFFS) else skip | 1
+    for mask, skip in enumerate(SKIP)
+)
+TAKE_AT_1 = tuple(-1 if mask & 0b10 else take for mask, take in enumerate(TAKE))
 
 
 class QuiltCache(RecurrenceCache):
@@ -49,40 +64,21 @@ def quilt_terms(count: int) -> QuiltCache:
 
 
 def is_fq_legal(indices: Iterable[int]) -> bool:
-    """Legality of a set of 1-based indices: :func:`fq_extend_ok`, folded.
+    """Legality of a set of 1-based indices: the automaton, run top down.
 
-    Duplicates are illegal (difference 0), as is any pair differing by 1, 3,
-    or 4, and the specific pair {1, 3}.  The empty set is legal.
+    Duplicates are illegal, as is any pair differing by 1, 3, or 4, and the
+    specific pair {1, 3}.  The empty set is legal.
     """
     idx = sorted(indices, reverse=True)
     if idx and idx[-1] < 1:
         raise ValueError(f"indices must be >= 1, got {idx[-1]}")
-    chosen: list[int] = []
+    mask, at = 0, idx[0] if idx else 0  # the window of index ``at``
     for i in idx:
-        if not fq_extend_ok(i, chosen):
+        skipped = at - i  # indices skipped since the last take
+        if skipped < 0:  # a duplicate
             return False
-        chosen.append(i)
-    return True
-
-
-def fq_extend_ok(candidate: int, chosen_desc: list[int]) -> bool:
-    """Whether ``candidate`` may join ``chosen_desc`` (strictly decreasing).
-
-    The one statement of the quilt rule; candidate must not exceed any chosen
-    index (an equal one is a duplicate, so illegal).
-    """
-    for j in reversed(chosen_desc):  # nearest chosen indices first
-        d = j - candidate
-        if d > 4:
-            break
-        if d == 0 or d in FORBIDDEN_DIFFS:
+        mask = (TAKE_AT_1 if i == 1 else TAKE)[(mask << skipped) & 0b1111 if skipped < 4 else 0]
+        if mask < 0:
             return False
-    if candidate == 1 and 3 in chosen_desc:
-        return False
+        at = i - 1
     return True
-
-
-#: Occupancy-window mask of the legality automaton.  Bits 0..3 flag whether
-#: index i+1 .. i+4 is occupied when index i is being decided; bit d-1 is set
-#: for each forbidden difference d.
-WINDOW_BAD = sum(1 << (d - 1) for d in FORBIDDEN_DIFFS)

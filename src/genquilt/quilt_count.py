@@ -17,9 +17,10 @@ total/q_{n+1} with the value filter applied).
 
 Per-integer counts and the value-filtered totals behind the averages come
 from one iterative sweep of the legality automaton (the transfer-matrix
-method).  It decides the indices from the top down and keeps a dict from
-state (budget left, 4-bit window mask) to an exact number of ways; equal
-states merge.  No legal set over 1..i sums past
+method), stepped through the mask tables that ``quilt`` defines.  It
+decides the indices from the top down and keeps a dict from state (budget
+left, 4-bit window mask) to an exact number of ways; equal states merge.
+No legal set over 1..i sums past
 
   cap_i = q_i + q_{i-2} + cap_{i-7}  (q_j = cap_j = 0 for j <= 0):
 
@@ -40,7 +41,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import BudgetExceededError
-from .quilt import WINDOW_BAD, shared_cache
+from .quilt import SKIP, TAKE, TAKE_AT_1, shared_cache
 
 AVERAGE_BUDGET = 30
 COUNT_TABLES_BUDGET = 10**4  # d_n has about n/7 digits
@@ -82,13 +83,6 @@ def count_tables(n_max: int) -> CountTables:
     return CountTables(d, c, b)
 
 
-# Window masks after skipping or taking index i (a take of -1 is illegal).
-# At index 1, mask bit 1 is index 3, and the pair {1, 3} is illegal.
-_SKIP = tuple((mask << 1) & 0b1111 for mask in range(16))
-_TAKE = tuple(-1 if mask & WINDOW_BAD else skip | 1 for mask, skip in enumerate(_SKIP))
-_TAKE_AT_1 = tuple(-1 if mask & 0b10 else take for mask, take in enumerate(_TAKE))
-
-
 def _legal_sum_caps(q: list[int], top: int) -> list[int]:
     """cap[i] for i = 0..top (module docstring), from q[i] = q_i."""
     cap = [0] * (top + 1)
@@ -108,13 +102,13 @@ def _sweep(top: int, budget: int, *, exact: bool) -> int:
     hit = 0
     for i in range(top, 0, -1):
         v, below = q[i], cap[i - 1]
-        takes = _TAKE_AT_1 if i == 1 else _TAKE
+        takes = TAKE_AT_1 if i == 1 else TAKE
         nxt: dict[tuple[int | None, int], int] = {}
         for (left, mask), ways in states.items():
             take = takes[mask]
             if exact:  # left > 0 here
                 if left <= below:
-                    key = (left, _SKIP[mask])
+                    key = (left, SKIP[mask])
                     nxt[key] = nxt.get(key, 0) + ways
                 if take >= 0 and v <= left:
                     left -= v
@@ -127,7 +121,7 @@ def _sweep(top: int, budget: int, *, exact: bool) -> int:
             if take >= 0 and (left is None or v <= left):
                 key = (None if left is None or left - v >= below else left - v, take)
                 nxt[key] = nxt.get(key, 0) + ways
-            key = (None if left is None or left >= below else left, _SKIP[mask])
+            key = (None if left is None or left >= below else left, SKIP[mask])
             nxt[key] = nxt.get(key, 0) + ways
         states = nxt
     return hit + sum(states.values())

@@ -1,6 +1,7 @@
 """(s,b) sequences: seeds, recurrences, legality, greedy decomposition."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,6 @@ from genquilt.generacci import (
     decompose,
     generate,
     is_legal_sb,
-    sb_extend_ok,
 )
 from genquilt.numerics import generacci_char_analysis
 
@@ -127,21 +127,21 @@ class TestLegality:
     def test_duplicates_rejected(self):
         assert not is_legal_sb(SBParams(1, 1), [3, 3])
 
-    def test_extend_agrees_with_full_predicate(self):
-        # incremental check vs the full predicate, over legal prefixes
-        from itertools import combinations
-
-        for s in (1, 2):
-            for b in (1, 2):
+    def test_every_subset_matches_the_pairwise_bin_rule(self):
+        # the bin rule read literally: every pair of indices, ceil(i / b) as bin
+        for s in (1, 2, 3):
+            for b in (1, 2, 3):
                 params = SBParams(s, b)
-                for r in range(0, 4):
-                    for combo in combinations(range(1, 10), r):
-                        desc = sorted(combo, reverse=True)
-                        if not is_legal_sb(params, desc):
-                            continue
-                        for cand in range(1, (desc[-1] if desc else 10)):
-                            expected = is_legal_sb(params, desc + [cand])
-                            assert sb_extend_ok(params, cand, desc) == expected
+                for bits in range(1 << 10):
+                    sub = [i for i in range(1, 11) if bits >> (i - 1) & 1]
+                    expected = all(
+                        abs(-(-i // b) - -(-j // b)) > s for i, j in combinations(sub, 2)
+                    )
+                    assert is_legal_sb(params, sub) == expected, (s, b, sub)
+
+    def test_bad_index_raises_before_illegal_pair(self):
+        with pytest.raises(ValueError):
+            is_legal_sb(SBParams(1, 1), [5, 4, 0])
 
 
 class TestDecompose:

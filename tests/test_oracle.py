@@ -1,11 +1,14 @@
 """Brute-force reference implementations and their cross-checks."""
 
+from itertools import combinations
+
 import pytest
 
 from genquilt.errors import BudgetExceededError
 from genquilt.generacci import SBParams, generate, is_legal_sb
 from genquilt.oracle import (
     DFS_COUNT_BUDGET,
+    _extend_ok,
     count_decompositions_dfs,
     definitional_sequence,
     enumerate_legal,
@@ -81,6 +84,22 @@ class TestEnumeration:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             enumerate_legal("quilt", 46)
+
+
+class TestExtendRule:
+    def test_sb_extend_agrees_with_full_predicate(self):
+        # the oracle's incremental bin test vs the library's predicate, over legal prefixes
+        for s in (1, 2):
+            for b in (1, 2):
+                params = SBParams(s, b)
+                for r in range(0, 4):
+                    for combo in combinations(range(1, 10), r):
+                        desc = sorted(combo, reverse=True)
+                        if not is_legal_sb(params, desc):
+                            continue
+                        for cand in range(1, (desc[-1] if desc else 10)):
+                            expected = is_legal_sb(params, desc + [cand])
+                            assert _extend_ok(params, cand, desc) == expected
 
 
 class TestCountDecompositionsDfs:

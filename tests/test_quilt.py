@@ -102,6 +102,31 @@ class TestLegality:
     def test_matches_literal_rule(self, indices):
         assert is_fq_legal(indices) == literal_fq_rule(indices)
 
+    def test_every_subset_up_to_fourteen_matches_literal_rule(self):
+        for bits in range(1 << 14):
+            sub = [i for i in range(1, 15) if bits >> (i - 1) & 1]
+            assert is_fq_legal(sub) == literal_fq_rule(sub), sub
+
+    def test_duplicates_in_every_small_subset(self):
+        for bits in range(1, 1 << 10):
+            sub = [i for i in range(1, 11) if bits >> (i - 1) & 1]
+            for i in sub:
+                assert not is_fq_legal(sub + [i]), (sub, i)
+
+    @settings(max_examples=400, deadline=None)
+    # gaps of 0 make duplicates; gaps past 4 must clear the window entirely
+    @given(
+        st.integers(1, 5),
+        st.lists(st.integers(0, 6) | st.integers(0, 10**4), max_size=8),
+        st.randoms(use_true_random=False),
+    )
+    def test_wide_gaps_match_literal_rule(self, start, gaps, rng):
+        indices = [start]
+        for gap in gaps:
+            indices.append(indices[-1] + gap)
+        rng.shuffle(indices)
+        assert is_fq_legal(indices) == literal_fq_rule(indices)
+
     def test_permutation_insensitive(self):
         assert is_fq_legal([4, 9, 15]) == is_fq_legal([15, 9, 4])
         assert is_fq_legal([1, 5]) == is_fq_legal([5, 1])
