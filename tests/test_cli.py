@@ -1,5 +1,7 @@
 """CLI surface: subcommand grammar, formats, determinism, exit codes."""
 
+import csv
+import io
 import json
 import os
 import shlex
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from genquilt.cli import main
-from genquilt.greedy import NORMALIZE_PARTS_BUDGET
+from genquilt.greedy import NORMALIZE_PARTS_BUDGET, SUCCESS_TABLE_BUDGET
 from genquilt.quilt import quilt_terms
 from test_readme_golden import readme_commands
 
@@ -154,6 +156,19 @@ class TestGreedyRatio:
         record = run_json(capsys, "greedy", "ratio", "--n", "100")
         assert abs(float(record["rows"][0]["rho_decimal"]) - 0.92627) < 5e-5
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("n", [1, 5, 6, 17, 100, 2000])
+    def test_row_is_the_tables_last_row(self, capsys, n, fmt):
+        def rows(*argv):
+            code, out, err = run(capsys, *argv, "--n", str(n), "--format", fmt)
+            assert code == 0, err
+            return json.loads(out)["rows"] if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
+
+        (ratio,) = rows("greedy", "ratio")
+        last = rows("tables", "greedy-success")[-1]
+        del last["q"]
+        assert ratio == last
+
 
 class TestStats:
     def test_kentucky_fit(self, capsys):
@@ -191,6 +206,7 @@ class TestNormalize:
         ("decompose", "generacci", "--s", "1000000000", "--b", "1000000000", "--m", "5"),
         ("tables", "quilt-count", "--n", "300000"),
         ("greedy", "ratio", "--n", "200000"),
+        ("greedy", "ratio", "--n", str(SUCCESS_TABLE_BUDGET + 1)),
         ("roots", "generacci", "--s", "100000", "--b", "1"),
         ("normalize", "quilt", "--indices", ",".join(["1"] * (NORMALIZE_PARTS_BUDGET + 1))),
         ("normalize", "quilt", "--indices", "3000000"),

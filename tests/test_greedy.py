@@ -19,6 +19,8 @@ from genquilt.greedy import (
     greedy_decompose,
     normalize_to_greedy6,
     structure_conditions,
+    success_counts,
+    success_row,
     success_table,
 )
 from genquilt.oracle import MIN_SUMMANDS_BUDGET, greedy_failures, min_summands_table
@@ -100,9 +102,12 @@ class TestSuccessTable:
         q = shared_cache().term
         failures = greedy_failures(q(23) - 1)
         h = [0] + [q(n + 1) - 1 - sum(f < q(n + 1) for f in failures) for n in range(1, 23)]
+        rho = [Fraction(0)] + [Fraction(h[n], q(n + 1) - 1) for n in range(1, 23)]
         rec = success_table(22)
         assert rec.h == h
-        assert rec.rho == [Fraction(0)] + [Fraction(h[n], q(n + 1) - 1) for n in range(1, 23)]
+        assert rec.rho == rho
+        assert success_counts(22) == h
+        assert [success_row(n) for n in range(1, 23)] == list(zip(h, rho))[1:]
 
     def test_g_recurrence(self):
         # g_n = h_n + 1 satisfies g_n = g_{n-1} + g_{n-5} exactly

@@ -1,0 +1,97 @@
+"""The success and count tables are append-only prefixes shared by a process.
+
+Each check runs in a fresh interpreter, so no earlier test has grown a table.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Prints one line per n: the repr of success_table(n) and count_tables(n).
+# With --mutate it scribbles on every returned column before the next call.
+# It then makes the two refused calls and prints the shared lengths before
+# and after them.
+_CALLS = """
+import json, sys
+from genquilt import greedy, quilt_count
+from genquilt.errors import BudgetExceededError
+
+def lengths():
+    return [len(greedy._h), len(greedy._rho), *map(len, quilt_count._tables)]
+
+for n in map(int, sys.argv[2:]):
+    s, c = greedy.success_table(n), quilt_count.count_tables(n)
+    print(json.dumps([n, repr(s), repr(c)]))
+    if sys.argv[1] == "--mutate":
+        for col in (*s, *c):
+            col[0] = -1
+            col.append(-1)
+before = lengths()
+for n in (0, greedy.SUCCESS_TABLE_BUDGET + 1):
+    try:
+        greedy.success_table(n)
+    except (ValueError, BudgetExceededError):
+        pass
+for n in (0, quilt_count.COUNT_TABLES_BUDGET + 1):
+    try:
+        quilt_count.count_tables(n)
+    except (ValueError, BudgetExceededError):
+        pass
+print(json.dumps(["lengths", before, lengths()]))
+"""
+
+
+def _run(script: str, *args: str) -> str:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _fresh(*args: str) -> list:
+    return [json.loads(line) for line in _run(_CALLS, *args).splitlines()]
+
+
+def test_call_order_and_copies_match_single_fresh_calls():
+    order = ["3000", "7", "500", "3001"]
+    single = {n: _fresh("--keep", n)[0] for n in order}
+    for mode in ("--keep", "--mutate"):
+        *rows, (_, before, after) = _fresh(mode, *order)
+        assert rows == [single[n] for n in order], mode
+        # a refused call grows nothing: still 3002 rows (index 0 a pad) per column
+        assert before == after == [3002] * 5, mode
+
+
+def test_interrupted_growth_leaves_the_tables_whole():
+    _run("""
+from fractions import Fraction
+from genquilt import greedy, quilt
+greedy.success_table(100)
+real, calls = greedy._rho_n, [0]
+def flaky(h, n):
+    calls[0] += 1
+    if calls[0] == 50:
+        raise KeyboardInterrupt
+    return real(h, n)
+greedy._rho_n = flaky
+try:
+    greedy.success_table(500)
+except KeyboardInterrupt:
+    pass
+else:
+    raise AssertionError("growth was not interrupted")
+assert (len(greedy._h), len(greedy._rho)) == (501, 101)
+greedy._rho_n = real
+t, q = greedy.success_table(500), quilt.shared_cache().term
+assert t.rho[1:] == [Fraction(t.h[n], q(n + 1) - 1) for n in range(1, 501)]
+""")
