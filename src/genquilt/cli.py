@@ -173,13 +173,7 @@ def _cmd_greedy(args, parser) -> dict:
 def _cmd_stats(args, parser) -> dict:
     sb = _sb(args, parser)
     fit = stats.gaussian_fit(sb, args.n_min, args.n_max)
-    row = {
-        "a_hat": _fmt_float(fit.a_hat),
-        "b_hat": _fmt_float(fit.b_hat),
-        "c_hat": _fmt_float(fit.c_hat),
-        "d_hat": _fmt_float(fit.d_hat),
-        "ks_distance": _fmt_float(fit.ks_distance),
-    }
+    row = {name: _fmt_float(value) for name, value in fit._asdict().items()}
     params = {"target": "generacci", "s": sb.s, "b": sb.b, "n_min": args.n_min, "n_max": args.n_max}
     return _record("stats", params, [row])
 

@@ -15,16 +15,6 @@ the quilt cache: a call grows them only past their current length and hands
 out copies.  At COUNT_TABLES_BUDGET rows they hold about 7.3 MB (peak RSS
 growth in a fresh process, ``resource.getrusage``).
 
-Note d_n counts subsets by index bound, not by value: some of the counted
-subsets sum past q_{n+1}.  Average-count reports filter by value instead, so
-the two views must not be conflated (the exact average over [0, q_{n+1}) is
-total/q_{n+1} with the value filter applied).
-
-Per-integer counts and the value-filtered totals behind the averages come
-from one iterative sweep of the legality automaton (the transfer-matrix
-method), stepped through the mask tables that ``quilt`` defines.  It
-decides the indices from the top down and keeps a dict from state (budget
-left, 4-bit window mask) to an exact number of ways; equal states merge.
 No legal set over 1..i sums past
 
   cap_i = q_i + q_{i-2} + cap_{i-7}  (q_j = cap_j = 0 for j <= 0):
@@ -32,10 +22,35 @@ No legal set over 1..i sums past
 gaps of 1, 3 and 4 are illegal, so three summands within seven consecutive
 indices would need gaps 2 and 2 (then 4 apart) or 5 and 1.  So any seven
 consecutive indices hold at most two summands, 2, 5 or 6 apart and worth at
-most q_j + q_{j-2} for the window's top index j.  In exact-sum mode a
-remainder above cap_{i-1} is pruned, which leaves 3 to 4 states per index
-(about 11 at m = q_1200).  In below-limit mode a state whose slack reaches
-cap_{i-1} drops its budget and runs on as the plain occupancy automaton.
+most q_j + q_{j-2} for the window's top index j.  And cap_i < q_{i+3}: by
+induction cap_{i-7} < q_{i-4}, and q_{i+3} = q_i + q_{i-2} + q_{i-3} +
+q_{i-4} (the tests check small i).
+
+d_n counts subsets by index, not by value: some of them sum past q_{n+1}.
+The averages need T_n, the legal sets worth less than q_{n+1} (all within
+1..n; T_0 = 1).  With U_k = #{legal S within 1..k : sum S < q_{k+2}},
+
+  T_n = U_{n-1} + T_{n-5}  and  U_k = d_{k-1} + T_{k-7} + d_{k-5},
+  so T_n = T_{n-5} + T_{n-8} + d_{n-2} + d_{n-6}  for n >= 8,
+
+from the literal seeds T_0..T_7 = 1, 2, 3, 4, 5, 7, 10, 14.  For T_n, split
+on n.  A set with n leaves less than q_{n+1} - q_n = q_{n-4} for the rest.
+n-1, n-3 and n-4 are illegal beside n, and q_{n-2} >= q_{n-4} is too big,
+so the rest is counted by T_{n-5}.  For U_k, split on k.  Without k the
+bound is vacuous, as cap_{k-1} < q_{k+2}: d_{k-1}.  With k, less than
+q_{k+2} - q_k = q_{k-1} is left, and k-1, k-3 and k-4 are illegal.  If k-2
+is taken too, k-5 and k-6 are illegal, and less than q_{k-1} - q_{k-2} =
+q_{k-6} is left on 1..k-7: T_{k-7}.  If not, the rest lies within 1..k-5
+and sums to at most cap_{k-5} < q_{k-2}: d_{k-5}.  For n >= 8 (so
+k = n-1 >= 7) each term relation used holds, and the {1, 3} rule never
+couples the top indices.
+
+Per-integer counts come from one iterative sweep of the legality automaton
+(the transfer-matrix method), stepped through the mask tables that ``quilt``
+defines.  It decides the indices from the top down and keeps a dict from
+state (remainder, 4-bit window mask) to an exact number of ways; equal
+states merge.  A remainder above cap_{i-1} is pruned, which leaves 3 to 4
+states per index (about 11 at m = q_1200).
 ``oracle.count_decompositions_dfs`` is the naive depth-first reference that
 the sweep is tested against.
 """
@@ -109,84 +124,68 @@ def _legal_sum_caps(q: list[int], top: int) -> list[int]:
     return cap
 
 
-def _sweep(top: int, budget: int, *, exact: bool) -> int:
-    """Legal index sets over 1..top summing to exactly ``budget`` (``exact``)
-    or to at most ``budget``, pruned on ``cap`` (module docstring).  An exact
-    state with 0 left completes one way (take nothing more), counted at once.
-    """
-    q = [0, *shared_cache().terms(top)]  # q[i] = q_i
-    cap = _legal_sum_caps(q, top)
-    states: dict[tuple[int | None, int], int] = {(budget, 0): 1}
-    hit = 0
-    for i in range(top, 0, -1):
-        v, below = q[i], cap[i - 1]
-        takes = TAKE_AT_1 if i == 1 else TAKE
-        nxt: dict[tuple[int | None, int], int] = {}
-        for (left, mask), ways in states.items():
-            take = takes[mask]
-            if exact:  # left > 0 here
-                if left <= below:
-                    key = (left, SKIP[mask])
-                    nxt[key] = nxt.get(key, 0) + ways
-                if take >= 0 and v <= left:
-                    left -= v
-                    if not left:
-                        hit += ways
-                    elif left <= below:
-                        key = (left, take)
-                        nxt[key] = nxt.get(key, 0) + ways
-                continue
-            if take >= 0 and (left is None or v <= left):
-                key = (None if left is None or left - v >= below else left - v, take)
-                nxt[key] = nxt.get(key, 0) + ways
-            key = (None if left is None or left >= below else left, SKIP[mask])
-            nxt[key] = nxt.get(key, 0) + ways
-        states = nxt
-    return hit + sum(states.values())
-
-
 def count_decompositions(m: int) -> int:
     """Exact number of FQ-legal index sets summing to ``m`` (m = 0 counts 1).
 
-    One downward sweep of the occupancy automaton from the largest index
-    whose term is at most ``m``.  Its state is (remainder, 4-bit window
-    mask), 3 to 4 of them per index.  A remainder above the legal-sum bound
-    on the terms below the current index is pruned (module docstring).  The
-    work tracks the index of ``m`` (about eight indices per decimal digit),
-    not the count returned.
+    One downward sweep (module docstring) from the largest index whose term
+    is at most ``m``.  A remainder that reaches 0 completes one way (take
+    nothing more), counted at once.  The work tracks the index of ``m``
+    (about eight indices per decimal digit), not the count returned.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if m == 0:
         return 1
-    return _sweep(shared_cache().index_of_largest_leq(m), m, exact=True)
+    cache = shared_cache()
+    top = cache.index_of_largest_leq(m)
+    q = [0, *cache.terms(top)]  # q[i] = q_i
+    cap = _legal_sum_caps(q, top)
+    states = {(m, 0): 1}
+    hit = 0
+    for i in range(top, 0, -1):
+        v, below = q[i], cap[i - 1]
+        takes = TAKE_AT_1 if i == 1 else TAKE
+        nxt: dict[tuple[int, int], int] = {}
+        for (left, mask), ways in states.items():  # left > 0
+            if left <= below:
+                key = (left, SKIP[mask])
+                nxt[key] = nxt.get(key, 0) + ways
+            take = takes[mask]
+            if take >= 0 and v <= left:
+                left -= v
+                if not left:
+                    hit += ways
+                elif left <= below:
+                    key = (left, take)
+                    nxt[key] = nxt.get(key, 0) + ways
+        states = nxt
+    return hit
 
 
-def _filtered_subset_total(n: int) -> int:
-    """Number of legal subsets with value below q_{n+1}.
-
-    Indices above n need not be visited: any such summand is itself at least
-    q_{n+1}, so the value filter would reject the subset anyway.
-    """
-    return _sweep(n, shared_cache().term(n + 1) - 1, exact=False)
+def _below_limit_totals(n: int) -> list[int]:
+    """T_0..T_n: literal seeds to T_7, the recurrence over d beyond (module docstring)."""
+    t = [1, 2, 3, 4, 5, 7, 10, 14]
+    d = count_tables(n).d
+    for k in range(8, n + 1):
+        t.append(t[k - 5] + t[k - 8] + d[k - 2] + d[k - 6])
+    return t[: n + 1]
 
 
 def average_decompositions(n: int) -> AverageReport:
     """Exact mean of the per-integer decomposition count over [0, q_{n+1}).
 
-    Computed by counting legal subsets whose value stays below q_{n+1}
-    (each decomposition of each m in range is one such subset).  The
-    exponent estimate is average(n)/average(n-1), defined for n >= 2.
+    Each decomposition of each m in range is one legal set worth less than
+    q_{n+1}, so the total is T_n (module docstring).  The exponent estimate
+    is average(n)/average(n-1), defined for n >= 2.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > AVERAGE_BUDGET:
         raise BudgetExceededError("average enumeration index", n, AVERAGE_BUDGET)
     cache = shared_cache()
-    total = _filtered_subset_total(n)
-    average = Fraction(total, cache.term(n + 1))
+    totals = _below_limit_totals(n)
+    average = Fraction(totals[n], cache.term(n + 1))
     exponent = None
     if n >= 2:
-        prev = Fraction(_filtered_subset_total(n - 1), cache.term(n))
-        exponent = float(average / prev)
-    return AverageReport(n=n, total=total, average=average, exponent_estimate=exponent)
+        exponent = float(average / Fraction(totals[n - 1], cache.term(n)))
+    return AverageReport(n=n, total=totals[n], average=average, exponent_estimate=exponent)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from genquilt import stats
 from genquilt.cli import main
 from genquilt.greedy import NORMALIZE_PARTS_BUDGET, SUCCESS_TABLE_BUDGET
 from genquilt.quilt import quilt_terms
@@ -179,6 +180,17 @@ class TestStats:
         assert float(row["a_hat"]) > 0
         assert float(row["c_hat"]) > 0
         assert float(row["ks_distance"]) < 0.05
+
+    def test_range_is_refused_before_any_distribution(self, capsys, monkeypatch):
+        calls = []
+        build = stats.summand_distribution
+        monkeypatch.setattr(stats, "summand_distribution", lambda *a: calls.append(a) or build(*a))
+        sb = ("stats", "generacci", "--s", "1", "--b", "1")
+        code, out, err = run(capsys, *sb, "--n-min", "1", "--n-max", str(10**12))
+        assert (code, out, calls) == (3, "", [])
+        assert "budget" in err
+        code, out, _ = run(capsys, *sb, "--n-min", "0", "--n-max", "10")
+        assert (code, out, calls) == (2, "", [])
 
 
 class TestNormalize:

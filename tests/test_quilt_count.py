@@ -12,8 +12,8 @@ from genquilt.numerics import count_char, dominant_root
 from genquilt.oracle import count_decompositions_dfs, enumerate_legal
 from genquilt.quilt import quilt_terms
 from genquilt.quilt_count import (
+    _below_limit_totals,
     _legal_sum_caps,
-    _sweep,
     average_decompositions,
     count_decompositions,
     count_tables,
@@ -135,8 +135,8 @@ class TestCountDecompositions:
         assert count_decompositions(m) == count
 
     def test_matches_oracle_dfs_at_pruning_boundaries(self):
-        # m at cap_i and at q_i, give or take 2: the edges where exact-sum
-        # mode prunes or counts a state, so a < written for <= shows here.
+        # m at cap_i and at q_i, give or take 2: the edges where the sweep
+        # prunes or counts a state, so a < written for <= shows here.
         q, cap = _caps(45)
         for i in range(1, 46):
             for delta in range(-2, 3):
@@ -156,10 +156,11 @@ class TestLegalSumCaps:
             assert cap[n] >= max(enumerate_legal("quilt", n).by_value), n
 
     def test_caps_never_exceed_the_partial_sums(self):
-        q, cap = _caps(200)
+        q, cap = _caps(203)
         assert cap[0] == 0
         for n in range(1, 201):
             assert cap[n] <= sum(q[1 : n + 1]), n
+            assert cap[n] < q[n + 3], n  # the lemma behind the averages' recurrence
 
 
 class TestAverages:
@@ -200,14 +201,14 @@ class TestAverages:
             rep = average_decompositions(n)
             assert rep.exponent_estimate == pytest.approx(target, abs=0.02), n
 
-    def test_below_limit_sweep_at_every_budget(self):
-        # Averages only ask for budgets q_{n+1} - 1; any budget must count
-        # the legal subsets of 1..n worth at most it.
-        for n in range(1, 15):
-            by_value = enumerate_legal("quilt", n).by_value
-            for budget in range(0, quilt_terms(n + 2).term(n + 2) + 1):
-                expected = sum(k for v, k in by_value.items() if v <= budget)
-                assert _sweep(n, budget, exact=False) == expected, (n, budget)
+    def test_below_limit_totals_match_enumeration(self):
+        # T_0..T_34, seeds and recurrence alike, against the legal subsets of
+        # 1..34 worth less than q_{n+1}.  An index above n would already put
+        # a sum at or past q_{n+1}, so the subsets of 1..34 cover every n.
+        by_value = enumerate_legal("quilt", 34).by_value
+        q = quilt_terms(35).terms(35)  # q[n] = q_{n+1}
+        expected = [sum(k for v, k in by_value.items() if v < q[n]) for n in range(35)]
+        assert _below_limit_totals(34) == expected
 
     def test_totals_pinned_through_the_budget(self):
         # SHA-256 of the space-separated totals for n = 1..30, computed by the
