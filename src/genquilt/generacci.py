@@ -151,12 +151,20 @@ def check_sequence_length(count: int) -> None:
         raise BudgetExceededError("sequence length", count, TERMS_BUDGET)
 
 
+_shared: dict[SBParams, SequenceCache] = {}
+
+
 def generate(params: SBParams, count: int) -> SequenceCache:
-    """The first ``count`` terms: literal seeds, then the depth-(s+1)b recurrence."""
+    """The process-wide cache of ``params``, grown to at least ``count`` terms.
+
+    Literal seeds, then the depth-(s+1)b recurrence; like the quilt's
+    ``shared_cache``, it is fine to share since growth is append-only.
+    """
     check_sequence_length(count)
-    cache = SequenceCache(params)
-    cache.ensure_count(count)
-    return cache
+    cache = _shared.get(params)
+    if cache is None:
+        cache = _shared[params] = SequenceCache(params)
+    return cache.ensure_count(count)
 
 
 def bin_of(params: SBParams, index: int) -> int:

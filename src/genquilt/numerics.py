@@ -1,11 +1,13 @@
 """Characteristic polynomials, certified dominant roots, and growth constants.
 
-Polynomials carry exact integer coefficients; the dominant positive root is
-isolated by sign-change scan and exact integer bisection on a common
-denominator (the bracket is a certificate), then polished by Newton steps
-inside the bracket.  The other roots come from one Durand-Kerner iteration
-in double precision, seeded evenly on the circle of the Fujiwara bound.  The
-(s,b) rate r^{1/b} takes its error bound from the exact bracket of r, and
+Polynomials carry exact integer coefficients.  The dominant positive root
+is isolated by a sign-change scan, and its bracket is the cell that exact
+bisection would reach, found in O(log k) exact evaluations for k bits by
+Newton steps at doubling precision that integer sign checks certify (the
+bracket is a certificate); Newton steps in doubles then polish the root
+inside it.  The other roots come from one Durand-Kerner iteration in double
+precision, seeded evenly on the circle of the Fujiwara bound.  The (s,b)
+rate r^{1/b} takes its error bound from the exact bracket of r, and
 leading-constant fits are exact integer ratios rounded once, so nothing
 depends on a working precision.
 """
@@ -25,6 +27,9 @@ from .record import FrozenRecord
 DEFAULT_TOL = 1e-12
 ROOT_DEGREE_BUDGET = 256  # degree s+1 of the (s,b) bin-level polynomial
 _DK_STEPS = 500  # Durand-Kerner sweeps before the roots count as unconverged
+_FIRST_LEVEL = 48  # grid bits a double's root can place; the bracket search starts there
+_GUARD_BITS = 8  # each level has 8 bits fewer than twice the last, for Newton's constant
+_FLOAT_STEPS = 100  # safeguarded Newton steps in doubles
 
 
 class Polynomial(FrozenRecord):
@@ -100,7 +105,13 @@ def greedy_aux_char() -> Polynomial:
 
 
 class RootReport(NamedTuple):
-    """Dominant-root analysis of one characteristic polynomial."""
+    """Dominant-root analysis of one characteristic polynomial.
+
+    ``error_bound`` is the width of the exact root bracket (for (s,b), the
+    bracket of y = x^b divided by b), rounded to a float.  It is not the
+    error of the float ``dominant_root``: that is limited by the spacing of
+    doubles, so below about 1e-16 it can exceed ``error_bound``.
+    """
 
     dominant_root: float
     error_bound: float
@@ -122,8 +133,15 @@ def _exact_tol(tol: Fraction | float) -> Fraction:
 def dominant_root_bracket(p: Polynomial, tol: Fraction | float) -> tuple[Fraction, Fraction]:
     """Certified bracket [lo, hi] around the unique root in (1, B], width <= tol.
 
-    Scans unit steps up to the Cauchy bound B for a sign change, then runs
-    exact integer bisection on a common denominator, so the bracket is a proof.
+    Scans unit steps up to the Cauchy bound B for a sign change [L, H], and
+    returns the cell of the grid L + w*i/2^k, w = H - L, that bisecting k
+    times would reach, with k the fewest halvings that bring w within tol.
+    The cell is found level by level, the grid's bit count about doubling
+    at each: a Newton step in doubles proposes the first cell, an exact
+    integer Newton step from the certified cell's midpoint the next one, and
+    sign checks certify each proposal by galloping to the sign change and
+    bisecting the gallop window.  A grid point that is the root returns
+    root -/+ tol/2; a root at H stays as hi.  The end-point signs are the proof.
     """
     tol = _exact_tol(tol)
     lead = p.coeffs[-1]
@@ -148,20 +166,82 @@ def dominant_root_bracket(p: Polynomial, tol: Fraction | float) -> tuple[Fractio
         lo = Fraction(x)
     else:
         raise ValueError(f"no dominant root: no sign change on (1, {scan_bound}] for {p}")
-    # the bracket is [low/den, high/den]; each midpoint doubles den
-    den = lo.denominator
-    low, high = lo.numerator, x * den
-    while (high - low) * tol.denominator > tol.numerator * den:
-        mid, den = low + high, 2 * den
-        s_mid = sign_at(mid, den)
-        if s_mid == 0:
-            root, half = Fraction(mid, den), tol / 2
-            return root - half, root + half
-        if s_mid == s_lo:
-            low, high = mid, 2 * high
-        else:
-            low, high = 2 * low, mid
-    return Fraction(low, den), Fraction(high, den)
+    a, den = lo.numerator, lo.denominator
+    w = x * den - a  # the grid's point i at level K is L + (H - L) * i / 2^K
+
+    def point(i: int, level: int) -> tuple[int, int]:
+        return (a << level) + i * w, den << level
+
+    # k = ceil(log2((H - L) / tol)), or 0
+    need, have = w * tol.denominator, tol.numerator * den
+    k = max(0, need.bit_length() - have.bit_length())
+    k += need > have << k
+    levels = [k]
+    while levels[-1] > _FIRST_LEVEL:
+        levels.append((levels[-1] + _GUARD_BITS + 1) // 2)
+    seed = _float_root(p, float(lo), float(x))
+    cell, at = 0, 0  # the certified cell [cell, cell + 1] at level ``at``
+    for level in reversed(levels):
+        low, high = cell << (level - at), (cell + 1) << (level - at)
+        if not at:
+            probe = -1 if seed is None else int((seed - lo) / (x - lo) * 2.0**level)
+        else:  # one exact Newton step t = mid - p/p' from the cell's midpoint
+            num, mid_den = point(2 * cell + 1, at + 1)
+            acc = slope = 0
+            scale = 1
+            for c in reversed(p.coeffs):
+                slope = slope * num + acc
+                acc = acc * num + c * scale
+                scale *= mid_den
+            # t's coordinate on the grid of ``level``, with q = mid_den^(d-1) p'(mid) w
+            q = slope * w
+            probe = (((2 * cell + 1) * q - acc) << (level - at - 1)) // q if q else -1
+        step = 1
+        while high - low > 1:  # gallop from the probe, then bisect the window
+            if not low < probe < high:
+                probe = (low + high) // 2
+            s_probe = sign_at(*point(probe, level))
+            if s_probe == 0:
+                root, half = Fraction(*point(probe, level)), tol / 2
+                return root - half, root + half
+            if s_probe == s_lo:
+                low, probe = probe, probe + step
+            else:
+                high, probe = probe, probe - step
+            step *= 2
+        cell, at = low, level
+    return Fraction(*point(cell, k)), Fraction(*point(cell + 1, k))
+
+
+def _float_root(p: Polynomial, a: float, b: float) -> float | None:
+    """A double near the sign change in [a, b], or None on overflow or NaN.
+
+    Newton steps, with a bisection whenever a step leaves the bracket or is
+    not half the one before last (the safeguard of Numerical Recipes' rtsafe).
+    """
+    dp = p.derivative()
+    try:
+        rising = p(a) < 0
+        x, step, last = (a + b) / 2, b - a, b - a
+        for _ in range(_FLOAT_STEPS):
+            fx = p(x)
+            if fx != fx:
+                return None
+            if (fx < 0) == rising:
+                a = x
+            else:
+                b = x
+            slope = dp(x)
+            new = fx / slope if slope else last
+            if x - new == x:
+                break
+            if not (a < x - new < b and 2 * abs(new) < abs(last)):
+                new = x - (a + b) / 2
+            last, step = step, new
+            x -= new
+    except OverflowError:
+        return None
+    return x
 
 
 def complex_roots(p: Polynomial) -> list[complex]:
@@ -204,6 +284,8 @@ def dominant_root(p: Polynomial, tol: float = DEFAULT_TOL) -> RootReport:
 
     The caller asserts such a root exists (true for every in-scope
     polynomial); absence of a sign change on the scan range is an error.
+    ``error_bound`` is the exact bracket's width, at most ``tol``; the float
+    root's own error can exceed it when ``tol`` is below about 1e-16.
     """
     if p.degree < 1:
         raise ValueError("degree must be >= 1")

@@ -226,6 +226,34 @@ def test_bracket_equals_fraction_bisection(p, tol):
     assert dominant_root_bracket(p, tol) == _fraction_bisection(p, tol)
 
 
+@st.composite
+def grid_root_polys(draw):
+    """2^j x - c or (2^j x - c)(x^2 + 1): the one root c / 2^j in (1, B] is a
+    point of the bisection grid from level j on, and an integer c / 2^j is the
+    scan's end point H."""
+    j = draw(st.integers(0, 100))
+    whole = draw(st.integers(1, 20))
+    frac = draw(st.one_of(st.just(0), st.integers(0, 2**j - 1)))
+    c = max(whole * 2**j + frac, 2**j + 1)
+    if draw(st.booleans()):
+        return monomial_poly((1, 2**j), (0, -c))
+    return monomial_poly((3, 2**j), (2, -c), (1, 2**j), (0, -c))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    grid_root_polys(),
+    st.one_of(
+        st.integers(1, 80).map(lambda k: float(f"1e-{k}")),
+        st.integers(2, 10**40).map(lambda n: Fraction(1, n)),
+        st.integers(0, 300).map(lambda m: Fraction(1, 2**m)),
+    ),
+)
+def test_grid_point_roots_equal_fraction_bisection(p, tol):
+    # the midpoint-hit (root -/+ tol/2) and root-at-H branches
+    assert dominant_root_bracket(p, tol) == _fraction_bisection(p, tol)
+
+
 class TestBracketEdges:
     @pytest.mark.parametrize("tol", [Fraction(1e-4), Fraction(1, 10**30)])
     def test_midpoint_is_the_root(self, tol):
@@ -286,6 +314,22 @@ def test_golden_brackets(name):
     p, digest = GOLDEN_BRACKETS[name]
     brackets = [dominant_root_bracket(p, tol) for tol in GOLDEN_TOLS]
     assert hashlib.sha256(repr(brackets).encode()).hexdigest() == digest
+
+
+# SHA-256 of repr of the bracket of generacci_aux(s, 1) at the smallest
+# double, pinned from the bisection that spent one exact evaluation per bit
+# (about 1075 of them, 30 s at s = 255).
+GOLDEN_SUBNORMAL_BRACKETS = {
+    60: "b6c93086dcc4ff4bfdbd5083a7ea25c66131375e526625b880c4b23bbff60aeb",
+    120: "5c702af67930c2677a8fb698ea209f97f96cd28467dc22b8f6a1b9dc7af20780",
+    255: "77040f123bed3cf7802da8e6d7eeb275b4d231f9982324e1aa17e4ceee86d544",
+}
+
+
+@pytest.mark.parametrize("s", sorted(GOLDEN_SUBNORMAL_BRACKETS))
+def test_golden_subnormal_tol_brackets(s):
+    bracket = dominant_root_bracket(generacci_aux(SBParams(s, 1)), 5e-324)
+    assert hashlib.sha256(repr(bracket).encode()).hexdigest() == GOLDEN_SUBNORMAL_BRACKETS[s]
 
 
 class TestGeneracciAnalysis:

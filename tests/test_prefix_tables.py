@@ -1,4 +1,5 @@
-"""The success and count tables are append-only prefixes shared by a process.
+"""The success and count tables and the (s,b) sequence caches are
+append-only prefixes shared by a process.
 
 Each check runs in a fresh interpreter, so no earlier test has grown a table.
 """
@@ -95,3 +96,47 @@ greedy._rho_n = real
 t, q = greedy.success_table(500), quilt.shared_cache().term
 assert t.rho[1:] == [Fraction(t.h[n], q(n + 1) - 1) for n in range(1, 501)]
 """)
+
+
+# Prints one line per (s, b, count): the first ``count`` terms from
+# generate().  Then it checks that equal params share one cache, that refused
+# counts grow and add none, and that summand_distribution still compares its
+# closed-form total with the recurrence's a_{bn+1}.
+_SB_CALLS = """
+import json, sys
+from genquilt import generacci, stats
+from genquilt.errors import BudgetExceededError
+from genquilt.generacci import SBParams, TERMS_BUDGET, generate
+
+for arg in sys.argv[1:]:
+    s, b, count = map(int, arg.split(","))
+    print(json.dumps([arg, generate(SBParams(s, b), count).terms(count)]))
+cache = generate(SBParams(2, 3), 5)
+assert generate(SBParams(2, 3), 50) is cache and generate(SBParams(3, 2), 5) is not cache
+before = len(cache), len(generacci._shared)
+for params in (SBParams(2, 3), SBParams(7, 7)):
+    for count in (0, TERMS_BUDGET + 1):
+        try:
+            generate(params, count)
+        except (ValueError, BudgetExceededError):
+            pass
+        else:
+            raise AssertionError(f"count {count} was not refused")
+assert (len(cache), len(generacci._shared)) == before
+stats.summand_distribution(SBParams(2, 3), 40)
+real = stats._count_polynomial
+stats._count_polynomial = lambda params, n: [real(params, n)[0] + 1, *real(params, n)[1:]]
+try:
+    stats.summand_distribution(SBParams(2, 3), 40)
+except AssertionError:
+    pass
+else:
+    raise AssertionError("a wrong histogram total went unnoticed")
+"""
+
+
+def test_shared_sb_caches_match_single_fresh_calls():
+    order = ["2,3,500", "1,1,7", "2,3,40", "3,2,1000", "2,3,501"]
+    single = {arg: json.loads(_run(_SB_CALLS, arg).splitlines()[0]) for arg in order}
+    rows = [json.loads(line) for line in _run(_SB_CALLS, *order).splitlines()]
+    assert rows == [single[arg] for arg in order]
