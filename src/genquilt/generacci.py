@@ -15,6 +15,7 @@ are exercised against exhaustive enumeration in the test suite.
 from __future__ import annotations
 
 from bisect import bisect_right
+from operator import gt
 from typing import Iterable
 
 from .errors import BudgetExceededError
@@ -54,7 +55,7 @@ class Decomposition(FrozenRecord):
     def __init__(self, indices: tuple[int, ...], values: tuple[int, ...]) -> None:
         if len(indices) != len(values):
             raise ValueError("indices and values must align")
-        if any(a <= b for a, b in zip(indices, indices[1:])):
+        if not all(map(gt, indices, indices[1:])):
             raise ValueError("indices must be strictly decreasing")
         self._set("indices", indices)
         self._set("values", values)
@@ -86,8 +87,6 @@ class RecurrenceCache:
     def __len__(self) -> int:
         return len(self._terms)
 
-    # Both growth loops stay inline: term() and index_of_largest_leq() call
-    # them on every greedy step, where the loop body almost never runs.
     def ensure_count(self, count: int) -> "RecurrenceCache":
         t = self._terms
         while len(t) < count:
@@ -191,17 +190,18 @@ def is_legal_sb(params: SBParams, indices: Iterable[int]) -> bool:
 def decompose(cache: RecurrenceCache, m: int) -> Decomposition:
     """Repeatedly subtract the largest term not exceeding the remainder.
 
-    For an (s,b) cache this is the unique legal decomposition of ``m`` >= 0.
-    The cache grows as needed, and m = 0 yields the empty decomposition.
+    For an (s,b) cache this is the unique legal decomposition of ``m`` >= 0,
+    and m = 0 yields the empty one.  The cache grows once, past m.  Each digit
+    bisects the terms up to the last one taken: its successor exceeds m.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    indices: list[int] = []
-    values: list[int] = []
-    remaining = m
-    while remaining:
-        i = cache.index_of_largest_leq(remaining)
+    terms = cache.ensure_value(m)._terms
+    indices, values = [], []
+    i = len(terms)
+    while m:
+        i = bisect_right(terms, m, 0, i)
         indices.append(i)
-        values.append(cache.term(i))
-        remaining -= values[-1]
+        values.append(terms[i - 1])
+        m -= terms[i - 1]
     return Decomposition(tuple(indices), tuple(values))

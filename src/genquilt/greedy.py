@@ -21,10 +21,8 @@ about 9.5 MB (peak RSS growth in a fresh process, ``resource.getrusage``).
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_right, insort
 from fractions import Fraction
-from itertools import islice
-from operator import neg
 from typing import Iterable, NamedTuple
 
 from .errors import BudgetExceededError
@@ -222,49 +220,17 @@ def _move_parts(move: str, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return _TAIL
 
 
-_TWO_TO_FIVE = frozenset(range(2, 6))
-
-
-def _measure(parts: tuple[int, ...]) -> tuple[int, int, int]:
-    return len(parts), sum(parts), sum(map(_TWO_TO_FIVE.__contains__, parts))
-
-
-def _find_move(state: tuple[int, ...], scan_from: int) -> tuple[str, int] | None:
-    """First applicable (move, anchor) in the descending ``state``, anchors from ``scan_from`` down."""
-    start = bisect_left(state, -scan_from, key=neg)
-    for n, nxt in zip(islice(state, start, None), islice(state, start + 1, None)):
-        gap = n - nxt
-        if gap < 4 or (gap == 4 and n >= 6):
-            return str(gap + 1), n
-    return None
-
-
-def _step(move: str, n: int, terms: list[int], before: tuple[int, ...]) -> MoveStep:
-    """Apply one move to the sorted tuple ``before``, checked."""
-    gone, new = _move_parts(move, n)
-    after = list(before)
-    for i in gone:
-        del after[bisect_left(after, -i, key=neg)]
-    for i in new:
-        insort(after, i, key=neg)
-    step = MoveStep(move, before, tuple(after))
-    if sum(map(terms.__getitem__, gone)) != sum(map(terms.__getitem__, new)):
-        raise AssertionError(f"move {move} at {n} changed the sum: {before} -> {step.after}")
-    if move != "tail" and not _measure(new) < _measure(gone):
-        raise AssertionError(f"move {move} at {n} did not shrink the measure")
-    return step
-
-
 def normalize_to_greedy6(indices: Iterable[int]) -> MoveTrace:
     """Rewrite any multiset of quilt indices to its Greedy-6 normal form.
 
-    The multiset is kept as one descending tuple.  Moves are applied
-    deterministically: adjacent entries are scanned from the largest index
-    down, and the first anchor n whose next-lower entry lies at index gap
-    k - 1 takes move k.  A move at anchor n creates nothing above n + 2 and
-    cannot wake any anchor above n + 6, so the scan restarts there instead
-    of at the top.  The terminal (5,1) -> (4,2) swap runs only once no move
-    applies.
+    One loop does all the work.  The multiset is kept as a sorted list,
+    edited in place, and each step records it as a descending tuple.  Moves
+    are applied deterministically: adjacent entries are scanned from the
+    largest index down, and the first anchor n whose next-lower entry lies at
+    index gap k - 1 takes move k.  A move at anchor n creates nothing above
+    n + 2 and cannot wake any anchor above n + 6, so one bisection restarts
+    the scan there instead of at the top.  The terminal (5,1) -> (4,2) swap
+    runs only once no move applies.
 
     Every step is checked in exact arithmetic against the pair of index
     tuples it swaps: the removed and added terms must have equal sums (which
@@ -288,11 +254,12 @@ def normalize_to_greedy6(indices: Iterable[int]) -> MoveTrace:
         raise BudgetExceededError("normalization index", parts[0], NORMALIZE_INDEX_BUDGET)
 
     cache = shared_cache()
+    values = tuple(map([0, *cache.terms(parts[0])].__getitem__, parts))
     if len(set(parts)) == len(parts):
         # Inputs already in normal form stay put.  Without this check the
         # raw move relation would take a (4,2) tail on a round trip through
         # (5,1) and back via the terminal swap.
-        dec = Decomposition(parts, tuple(map(cache.term, parts)))
+        dec = Decomposition(parts, values)
         cond1, cond2 = structure_conditions(dec)
         if cond1 != cond2:
             return MoveTrace([], dec)
@@ -300,19 +267,38 @@ def normalize_to_greedy6(indices: Iterable[int]) -> MoveTrace:
     # Each step keeps the sum, so no index ever present exceeds the largest
     # index whose term fits in that sum, and a move adds at most two above its
     # anchor: terms[i] is q_i for every index a step can touch.
-    top = cache.index_of_largest_leq(sum(map(cache.term, parts))) + 2
-    terms = [0, *cache.terms(top)]
+    top = cache.index_of_largest_leq(sum(values)) + 2
+    terms = [0, *cache.terms(top)].__getitem__
     steps: list[MoveStep] = []
     state = parts
-    scan_from = parts[0]
-    while (found := _find_move(state, scan_from)) is not None:
-        move, n = found
-        steps.append(_step(move, n, terms, state))
-        state = steps[-1].after
-        scan_from = n + 6
-    # With no move left no index repeats and the entry after a 5 is at most
-    # 1, so a 5 and a 1 together can only be the last two entries.
-    if state[-2:] == _TAIL[0]:
-        steps.append(_step("tail", 5, terms, state))
-        state = steps[-1].after
-    return MoveTrace(steps, Decomposition(state, tuple(map(terms.__getitem__, state))))
+    rising = sorted(parts)  # state in ascending order, edited in place
+    move, k = "", len(rising) - 1
+    while move != "tail":
+        for k in range(k, 0, -1):
+            n = rising[k]
+            gap = n - rising[k - 1]
+            if gap < 4 or (gap == 4 and n >= 6):
+                move = "12345"[gap]
+                break
+        else:
+            # With no move left no index repeats and the entry after a 5 is
+            # at most 1, so a 5 and a 1 together can only be the last two.
+            if state[-2:] != _TAIL[0]:
+                break
+            move, n, k = "tail", 5, 1
+        gone, new = _move_parts(move, n)
+        del rising[k - 1 : k + 1]  # the pair that gone names
+        for i in new:
+            insort(rising, i)
+        after = tuple(rising[::-1])
+        if sum(map(terms, gone)) != sum(map(terms, new)):
+            raise AssertionError(f"move {move} at {n} changed the sum: {state} -> {after}")
+        # the measure shrinks when the first nonzero difference, added minus
+        # removed, of (count, index sum, count in 2..5) is negative
+        change = len(new) - len(gone) or sum(new) - sum(gone)
+        if move != "tail" and (change or sum(1 < i < 6 for i in new) - sum(1 < i < 6 for i in gone)) >= 0:
+            raise AssertionError(f"move {move} at {n} did not shrink the measure")
+        steps.append(MoveStep(move, state, after))
+        state = after
+        k = bisect_right(rising, n + 6) - 1
+    return MoveTrace(steps, Decomposition(state, tuple(map(terms, state))))

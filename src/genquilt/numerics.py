@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .errors import BudgetExceededError
@@ -108,9 +109,10 @@ class RootReport(NamedTuple):
     """Dominant-root analysis of one characteristic polynomial.
 
     ``error_bound`` is the width of the exact root bracket (for (s,b), the
-    bracket of y = x^b divided by b), rounded to a float.  It is not the
-    error of the float ``dominant_root``: that is limited by the spacing of
-    doubles, so below about 1e-16 it can exceed ``error_bound``.
+    bracket of y = x^b divided by b), rounded up to a double, so it is never
+    below that width and never 0.  It is not the error of the float
+    ``dominant_root``: that is limited by the spacing of doubles, so below
+    about 1e-16 it can exceed ``error_bound``.
     """
 
     dominant_root: float
@@ -250,8 +252,15 @@ def complex_roots(p: Polynomial) -> list[complex]:
     The seeds sit evenly on the circle of the Fujiwara bound, which encloses
     every root.  A run that does not settle within its step cap, or leaves
     the finite floats, raises ``ArithmeticError`` rather than return
-    meaningless roots.
+    meaningless roots.  The roots depend only on the coefficients, so a
+    bounded process-wide memo keeps the last runs; each call gets a new list.
     """
+    return list(_durand_kerner(p.coeffs))
+
+
+@lru_cache(maxsize=64)
+def _durand_kerner(coeffs: tuple[int, ...]) -> tuple[complex, ...]:
+    p = Polynomial(coeffs)
     n = p.degree
     lead = p.coeffs[-1]
     radius = 2 * max(abs(p.coeffs[n - k] / lead) ** (1 / k) for k in range(1, n + 1))
@@ -269,8 +278,15 @@ def complex_roots(p: Polynomial) -> list[complex]:
         if not all(map(cmath.isfinite, roots)):
             break
         if shift <= 1e-15 * radius:
-            return roots
+            return tuple(roots)
     raise ArithmeticError(f"roots of {p} did not converge")
+
+
+def _width_bound(lo: Fraction, hi: Fraction, b: int) -> float:
+    """(hi - lo) / b rounded up to a double: never below it, and never 0."""
+    width = (hi - lo) / b
+    bound = float(width)
+    return bound if bound >= width else math.nextafter(bound, math.inf)
 
 
 def _secondary_modulus(p: Polynomial, dominant: float) -> float:
@@ -293,7 +309,7 @@ def dominant_root(p: Polynomial, tol: float = DEFAULT_TOL) -> RootReport:
     root = _newton_polish(p, (lo + hi) / 2, lo, hi)
     return RootReport(
         dominant_root=root,
-        error_bound=float(hi - lo),
+        error_bound=_width_bound(lo, hi, 1),
         secondary_modulus=_secondary_modulus(p, root),
     )
 
@@ -337,7 +353,7 @@ def generacci_char_analysis(params: SBParams, tol: float = DEFAULT_TOL) -> RootR
     mid = float((lo + hi) / 2)
     return RootReport(
         dominant_root=mid ** (1 / b),
-        error_bound=float(hi - lo) / b,
+        error_bound=_width_bound(lo, hi, b),
         secondary_modulus=_secondary_modulus(aux, mid) ** (1 / b),
     )
 

@@ -1,5 +1,6 @@
 """(s,b) sequences: seeds, recurrences, legality, greedy decomposition."""
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,6 +20,7 @@ from genquilt.generacci import (
     is_legal_sb,
 )
 from genquilt.numerics import generacci_char_analysis
+from genquilt.quilt import shared_cache
 
 # Frozen from the definitional scan (see test_oracle for the live cross-check).
 KNOWN_PREFIXES = {
@@ -210,6 +212,43 @@ class TestDecompose:
         dec = decompose(generate(params, 1), m)
         assert dec.total == m
         assert is_legal_sb(params, dec.indices)
+
+
+# The caches the identity property runs on: the quilt and six (s,b) systems.
+IDENTITY_SYSTEMS = ["quilt", (1, 1), (2, 1), (1, 2), (2, 3), (3, 2), (1, 7)]
+
+
+def _identity_cache(system):
+    return shared_cache() if system == "quilt" else generate(SBParams(*system), 1)
+
+
+def _whole_list_greedy(terms: list[int], m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # Reference: bisect the whole term list for the largest term <= remainder.
+    indices = []
+    while m:
+        indices.append(bisect_right(terms, m))
+        m -= terms[indices[-1] - 1]
+    return tuple(indices), tuple(terms[i - 1] for i in indices)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(IDENTITY_SYSTEMS), st.data())
+def test_decompose_matches_whole_list_bisection(system, data):
+    cache = _identity_cache(system).ensure_value(10**300)
+    terms = cache.terms(len(cache))  # the last term exceeds every m drawn
+    near_term = st.builds(int.__add__, st.sampled_from(terms[:-1]), st.integers(-1, 1))
+    m = data.draw(st.one_of(near_term, st.integers(0, 10**300)))
+    dec = decompose(cache, m)
+    assert (dec.indices, dec.values) == _whole_list_greedy(terms, m)
+
+
+@pytest.mark.parametrize("system", IDENTITY_SYSTEMS)
+def test_decompose_edges(system):
+    cache = _identity_cache(system)
+    assert decompose(cache, 0) == Decomposition((), ())
+    with pytest.raises(ValueError):
+        decompose(cache, -1)
+    # the budget refusal: TestDecompose.test_slow_growth_is_refused_at_the_terms_budget
 
 
 def test_decomposition_type_validation():

@@ -369,6 +369,24 @@ def test_golden_trace(name):
     assert hashlib.sha256(repr((trace.steps, trace.final)).encode()).hexdigest() == digest
 
 
+def _seeded_corpus() -> list[list[int]]:
+    rng = random.Random(19)
+    corpus = [[rng.randint(1, 10) for _ in range(200)] for _ in range(50)]
+    corpus += [[rng.randint(1, 25) for _ in range(rng.randint(2, 6))] for _ in range(500)]
+    corpus += [[rng.randint(1, 10**4) for _ in range(rng.randint(1, 40))] for _ in range(20)]
+    return corpus
+
+
+def test_golden_corpus():
+    # One SHA-256 over repr((trace.steps, trace.final)) for every input in
+    # turn, pinned on the engine of per-step helpers that the flat loop replaced.
+    digest = hashlib.sha256()
+    for parts in _seeded_corpus():
+        trace = normalize_to_greedy6(parts)
+        digest.update(repr((trace.steps, trace.final)).encode())
+    assert digest.hexdigest() == "049dbc1d121517309420490c1cea1c8bc514a24b720832e90b9df09fbfc2a684"
+
+
 @functools.cache
 def _min_summands_to_1e4() -> list[int]:
     return min_summands_table(10**4)

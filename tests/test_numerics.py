@@ -170,6 +170,43 @@ class TestDominantRoot:
             dominant_root(monomial_poly((200, 1), (0, -(10**300))), 1e-9)
 
 
+def test_durand_kerner_runs_once_per_polynomial(monkeypatch):
+    evaluations = []
+    real = Polynomial.__call__
+    monkeypatch.setattr(Polynomial, "__call__", lambda p, x: evaluations.append(x) or real(p, x))
+    poly = monomial_poly((4, 1), (3, -2), (0, -11))  # not used elsewhere
+    first = complex_roots(poly)
+    swept = len(evaluations)
+    assert swept
+    want = list(first)
+    first[0] = 0j
+    first.append(1j)
+    assert complex_roots(Polynomial(poly.coeffs)) == want
+    assert len(evaluations) == swept
+    # a run that fails is not remembered
+    for _ in range(2):
+        swept = len(evaluations)
+        with pytest.raises(ArithmeticError):
+            complex_roots(monomial_poly((200, 1), (0, -(10**300))))
+        assert len(evaluations) > swept
+
+
+@pytest.mark.parametrize("tol", [5e-324, 1e-60, 1e-12])
+def test_error_bound_is_the_exact_width_rounded_up(tol):
+    def check(bound, width):
+        assert 0 < Fraction(bound) and Fraction(bound) >= width
+        assert Fraction(math.nextafter(bound, 0)) < width  # the least such double
+
+    for poly in (quilt_char(), count_char(), greedy_aux_char()):
+        lo, hi = dominant_root_bracket(poly, tol)
+        check(dominant_root(poly, tol).error_bound, hi - lo)
+    for s in (1, 2, 3):
+        for b in (1, 2, 3):
+            params = SBParams(s, b)
+            lo, hi = dominant_root_bracket(generacci_aux(params), Fraction(tol) / 2)
+            check(generacci_char_analysis(params, tol).error_bound, (hi - lo) / b)
+
+
 def _fraction_bisection(p, tol):
     """Reference bracket: the earlier bisection, Horner on ``Fraction`` at every step."""
     tol = Fraction(tol)
