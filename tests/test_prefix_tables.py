@@ -1,5 +1,5 @@
-"""The success and count tables and the (s,b) sequence caches are
-append-only prefixes shared by a process.
+"""The success and count tables, the counting sweep's term prefix and the
+(s,b) sequence caches are append-only prefixes shared by a process.
 
 Each check runs in a fresh interpreter, so no earlier test has grown a table.
 """
@@ -95,6 +95,48 @@ assert (len(greedy._h), len(greedy._rho)) == (501, 101)
 greedy._rho_n = real
 t, q = greedy.success_table(500), quilt.shared_cache().term
 assert t.rho[1:] == [Fraction(t.h[n], q(n + 1) - 1) for n in range(1, 501)]
+""")
+
+
+def test_sweep_prefix_grows_only_past_its_length_and_survives_interruption():
+    # count_decompositions reads q_i, cap_i and the term index from one shared
+    # prefix: nothing is grown at import, a shorter request returns the same
+    # tuple, and a longer one binds a longer copy, so a growth that is
+    # interrupted part way leaves the prefix as it was.
+    _run("""
+from genquilt import quilt_count as qc
+assert qc._sweep == ([0], [0], {})
+qc.count_decompositions(10**20)
+first = qc._sweep
+n = len(first[0])
+assert n > 90 and qc._sweep_tables(n - 1) is first and qc._sweep_tables(5) is first
+qc.count_decompositions(10**12 + 7)
+assert qc._sweep is first
+
+real = qc.shared_cache
+class Flaky(list):
+    def __getitem__(self, i):
+        if i == n + 50:
+            raise KeyboardInterrupt
+        return list.__getitem__(self, i)
+class FlakyCache:
+    def terms(self, count):
+        return Flaky(real().terms(count))
+qc.shared_cache = FlakyCache
+try:
+    qc._sweep_tables(n + 100)
+except KeyboardInterrupt:
+    pass
+else:
+    raise AssertionError("growth was not interrupted")
+qc.shared_cache = real
+assert qc._sweep is first and list(map(len, first)) == [n, n, n - 1]
+
+grown = qc._sweep_tables(n + 100)
+assert list(map(len, first)) == [n, n, n - 1]
+assert [col[:n] for col in grown[:2]] == [first[0], first[1]]
+qc._sweep = ([0], [0], {})
+assert qc._sweep_tables(n + 100) == grown
 """)
 
 

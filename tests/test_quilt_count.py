@@ -1,19 +1,20 @@
 """Decomposition counting: tables, per-integer counts, exact averages."""
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from genquilt.errors import BudgetExceededError
 from genquilt.numerics import count_char, dominant_root
 from genquilt.oracle import count_decompositions_dfs, enumerate_legal
-from genquilt.quilt import quilt_terms
+from genquilt.quilt import is_fq_legal, quilt_terms
 from genquilt.quilt_count import (
     _below_limit_totals,
-    _legal_sum_caps,
+    _sweep_tables,
     average_decompositions,
     count_decompositions,
     count_tables,
@@ -21,9 +22,35 @@ from genquilt.quilt_count import (
 
 
 def _caps(top):
-    """q[i] = q_i and the sweep's legal-sum bounds cap[i], for i = 0..top."""
-    q = [0, *quilt_terms(top).terms(top)]
-    return q, _legal_sum_caps(q, top)
+    """q[i] = q_i and the sweep's legal-sum bounds cap[i], for i = 0..top at least."""
+    q, cap, _ = _sweep_tables(top)
+    return q, cap
+
+
+def _identity_corpus():
+    """300 random m of 1-170 digits, q_j + delta (delta in -3..3) for every
+    25th j up to 1200, and 200 sums of two or three distinct terms with
+    indices up to 1200 (the odd draws hold a pair 1, 3 or 4 apart, so they
+    are illegal), with those index sets."""
+    rng = random.Random(20)
+    q = [0, *quilt_terms(1200).terms(1200)]
+    corpus = []
+    for _ in range(300):
+        d = rng.randint(1, 170)
+        corpus.append(rng.randrange(10 ** (d - 1), 10**d))
+    corpus += [q[j] + delta for j in range(25, 1201, 25) for delta in range(-3, 4)]
+    sets = []
+    for k in range(200):
+        if k % 2:
+            i = rng.randint(6, 1200)
+            idx = {i, i - rng.choice((1, 3, 4))}
+            while len(idx) < 2 + k % 4 // 2:
+                idx.add(rng.randint(1, 1200))
+        else:
+            idx = set(rng.sample(range(1, 1201), rng.randint(2, 3)))
+        sets.append(idx)
+        corpus.append(sum(q[i] for i in idx))
+    return corpus, sets
 
 
 # d_n, c_n, b_n for n = 1..13, derived by exhaustive enumeration (the same
@@ -121,7 +148,40 @@ class TestCountDecompositions:
     def test_large_quilt_term_has_one_decomposition(self, n):
         # Every quilt term decomposes only as itself.  q_900 has 110 digits
         # and q_1200 has 146, far past what a depth-first walk finishes.
+        # The sweep answers a term m by that very rule, without sweeping, so
+        # this passes by construction; test_identity_corpus_pinned and
+        # test_terms_have_no_decomposition_below_them are the real checks.
         assert count_decompositions(quilt_terms(n).term(n)) == 1
+
+    def test_identity_corpus_pinned(self):
+        # SHA-256 of repr(counts) over _identity_corpus, computed by the
+        # sweep that carried term-valued remainders like any other.  It is
+        # the only witness past the depth-first range for m = q_j and for
+        # remainders that are terms.
+        corpus, sets = _identity_corpus()
+        assert sum(map(is_fq_legal, sets)) == 100
+        counts = [count_decompositions(m) for m in corpus]
+        digest = hashlib.sha256(repr(counts).encode()).hexdigest()
+        assert digest == "c7ef4f8760f8826a0757cf9b833efac95c2a9e19d410c60678d604f5b7f20584"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sets(st.integers(min_value=1, max_value=45), min_size=1, max_size=4), st.integers(-2, 2))
+    def test_matches_oracle_dfs_near_term_sums(self, indices, delta):
+        # Sums of one to four terms, give or take 2: the remainders the sweep
+        # resolves as terms, with the window shifted down to them.  The {1, 3}
+        # pair and remainders 1..5 are pinned by the test below.
+        q = _caps(45)[0]
+        m = sum(q[i] for i in indices) + delta
+        assume(m >= 0)
+        assert count_decompositions(m) == count_decompositions_dfs(m)
+
+    def test_matches_oracle_dfs_at_small_term_remainders(self):
+        # Remainders 1..5 are q_1..q_5.  At q_k + 4, taking k and then 3
+        # leaves q_1, where j = 1 reads the {1, 3} table.
+        q = _caps(45)[0]
+        for k in range(1, 46):
+            for r in range(1, 6):
+                assert count_decompositions(q[k] + r) == count_decompositions_dfs(q[k] + r), (k, r)
 
     @pytest.mark.parametrize(
         "m, count",
@@ -150,6 +210,31 @@ class TestCountDecompositions:
 
 
 class TestLegalSumCaps:
+    def test_terms_have_no_decomposition_below_them(self):
+        # The rule the sweep resolves term remainders by: no legal set of
+        # lower indices sums to q_j.  Enumerating every j <= 40 takes about
+        # 11 s, so the enumeration stops at 30 and the oracle DFS, which
+        # counts {j} as well, covers 31..40.
+        q = _caps(40)[0]
+        assert q[1] == 1  # j = 1: only the empty set lies below it
+        for j in range(2, 31):
+            assert q[j] not in enumerate_legal("quilt", j - 1).by_value, j
+        for j in range(31, 41):
+            assert count_decompositions_dfs(q[j]) == 1, j
+
+    def test_a_take_leaves_less_than_its_term(self):
+        # A state at index i holds at most cap_i, so a take at i leaves a
+        # remainder q_j with j < i: the sweep resolves it without checking.
+        q, cap = _caps(3000)
+        for i in range(1, 3001):
+            assert cap[i] - q[i] < q[i], i
+
+    def test_term_index_matches_the_terms(self):
+        q, cap, index = _sweep_tables(300)
+        assert len(q) == len(cap) == len(index) + 1 > 300
+        assert q[1:] == quilt_terms(len(q) - 1).terms(len(q) - 1)
+        assert index == {v: i for i, v in enumerate(q) if i}
+
     def test_caps_bound_every_legal_sum(self):
         _, cap = _caps(30)
         for n in range(1, 31):
