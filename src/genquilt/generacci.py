@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from operator import gt
-from typing import Iterable
+from threading import RLock
+from typing import Callable, Iterable
 
 from .errors import BudgetExceededError
 from .record import FrozenRecord
@@ -26,6 +27,9 @@ from .record import FrozenRecord
 TERMS_BUDGET = 5 * 10**4
 #: Most literal seed terms, (s+1)b + 1, that an (s,b) system may have.
 SEED_BUDGET = 10**6
+
+#: The one guard on growth of every RecurrenceCache in the process.
+_growth = RLock()
 
 
 class SBParams(FrozenRecord):
@@ -69,52 +73,61 @@ class Decomposition(FrozenRecord):
 
 
 class RecurrenceCache:
-    """Memoized prefix of a_n = a_{n-near} + coeff * a_{n-far}, 1-based.
+    """Memoized prefix of a sequence: literal seeds, then each further term
+    from ``step(terms_so_far)``, 1-based.
 
-    Both families are recurrences of this shape with a zero leading term.
-    Growth is append-only: a term, once computed, never changes, so shared
-    concurrent readers are safe.
+    Every column the toolkit serves is a recurrence of this shape, most of
+    them linear with a zero leading term.  Growth is append-only: a term,
+    once computed, never changes.  It runs under one process-wide reentrant
+    lock, taken only when a term is missing, so threads that grow the same
+    prefix, or a step that grows another one, never tear it; an interrupted
+    step leaves a shorter prefix that regrows identically.
     """
 
-    __slots__ = ("_terms", "_near", "_far", "_coeff")
+    __slots__ = ("_terms", "_step", "_budget")
 
-    def __init__(self, seed: Iterable[int], near: int, far: int, coeff: int) -> None:
+    def __init__(self, seed: Iterable, step: Callable[[list], object]) -> None:
         self._terms = list(seed)
-        self._near = near
-        self._far = far
-        self._coeff = coeff
+        self._step = step
+        # TERMS_BUDGET terms beyond the literal seeds, so a wide seed does not use it up
+        self._budget = len(self._terms) - 1 + TERMS_BUDGET
 
     def __len__(self) -> int:
         return len(self._terms)
 
     def ensure_count(self, count: int) -> "RecurrenceCache":
         t = self._terms
-        while len(t) < count:
-            t.append(t[-self._near] + self._coeff * t[-self._far])
+        if len(t) < count:  # the one check when nothing is missing
+            step = self._step
+            with _growth:
+                while len(t) < count:
+                    t.append(step(t))
         return self
 
     def ensure_value(self, value: int) -> "RecurrenceCache":
         """Grow until the last cached term exceeds ``value``.
 
-        Raises BudgetExceededError rather than grow past TERMS_BUDGET terms
-        beyond the recurrence's depth, so a wide seed does not use it up.
+        Raises BudgetExceededError rather than grow past the budget.
         """
         t = self._terms
-        while t[-1] <= value:
-            if len(t) >= self._far + TERMS_BUDGET:  # checked only while growing
-                raise BudgetExceededError("sequence length to pass m", f"more than {len(t)}", len(t))
-            t.append(t[-self._near] + self._coeff * t[-self._far])
+        if t[-1] <= value:  # the one check when nothing is missing
+            step = self._step
+            with _growth:
+                while t[-1] <= value:
+                    if len(t) >= self._budget:
+                        raise BudgetExceededError("sequence length to pass m", f"more than {len(t)}", len(t))
+                    t.append(step(t))
         return self
 
-    def term(self, i: int) -> int:
+    def term(self, i: int):
         """a_i."""
         if i < 1:
             raise ValueError(f"index must be >= 1, got {i}")
         self.ensure_count(i)
         return self._terms[i - 1]
 
-    def terms(self, count: int) -> list[int]:
-        """The first ``count`` terms as a list."""
+    def terms(self, count: int) -> list:
+        """The first ``count`` terms as a new list."""
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
         self.ensure_count(count)
@@ -126,16 +139,6 @@ class RecurrenceCache:
             raise ValueError(f"m must be >= 1, got {m}")
         self.ensure_value(m)
         return bisect_right(self._terms, m)
-
-
-class SequenceCache(RecurrenceCache):
-    """Memoized prefix of an (s,b) sequence: literal seeds, then
-    a_n = a_{n-b} + b * a_{n-(s+1)b}."""
-
-    __slots__ = ()
-
-    def __init__(self, params: SBParams) -> None:
-        super().__init__(range(1, params.seed_count + 1), params.b, (params.s + 1) * params.b, params.b)
 
 
 def check_sequence_length(count: int) -> None:
@@ -150,19 +153,20 @@ def check_sequence_length(count: int) -> None:
         raise BudgetExceededError("sequence length", count, TERMS_BUDGET)
 
 
-_shared: dict[SBParams, SequenceCache] = {}
+_shared: dict[SBParams, RecurrenceCache] = {}
 
 
-def generate(params: SBParams, count: int) -> SequenceCache:
+def generate(params: SBParams, count: int) -> RecurrenceCache:
     """The process-wide cache of ``params``, grown to at least ``count`` terms.
 
-    Literal seeds, then the depth-(s+1)b recurrence; like the quilt's
-    ``shared_cache``, it is fine to share since growth is append-only.
+    Literal seeds 1 .. (s+1)b + 1, then a_n = a_{n-b} + b * a_{n-(s+1)b}.
     """
     check_sequence_length(count)
     cache = _shared.get(params)
     if cache is None:
-        cache = _shared[params] = SequenceCache(params)
+        b, far = params.b, (params.s + 1) * params.b
+        cache = RecurrenceCache(range(1, params.seed_count + 1), lambda t: t[-b] + b * t[-far])
+        cache = _shared.setdefault(params, cache)
     return cache.ensure_count(count)
 
 

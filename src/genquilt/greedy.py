@@ -13,10 +13,11 @@ increasing the summand count.  Termination is guaranteed by the lexicographic
 measure (summand count, index sum, count of indices in {2..5}), which every
 step strictly decreases.
 
-The success counts h_n and ratios rho_n are append-only prefix tables, one
-per process beside the quilt cache: a call grows them only past their
-current length and hands out copies.  At SUCCESS_TABLE_BUDGET rows they hold
-about 9.5 MB (peak RSS growth in a fresh process, ``resource.getrusage``).
+The success counts h_n and ratios rho_n are recurrence caches, one per
+process beside the quilt cache (``generacci.RecurrenceCache``, whose lock
+guards their growth): a call grows them only past their current length and
+hands out copies.  At SUCCESS_TABLE_BUDGET rows they hold about 9.5 MB
+(peak RSS growth in a fresh process, ``resource.getrusage``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .errors import BudgetExceededError
-from .generacci import Decomposition, decompose
+from .generacci import Decomposition, RecurrenceCache, decompose
 from .quilt import is_fq_legal, shared_cache
 
 #: Most rows the success functions hand out.  rho_n is a reduced fraction
@@ -57,13 +58,6 @@ class SuccessTable(NamedTuple):
 
     h: list[int]
     rho: list[Fraction]
-
-
-# The shared h and rho columns, index 0 a zero pad.  A longer prefix is built
-# beside the shared one and bound in one assignment, so an interrupted or
-# refused call leaves both whole.
-_h: list[int] = [0, 1, 2, 3, 4, 5]
-_rho: list[Fraction] = [Fraction(0)]
 
 
 class MoveStep(NamedTuple):
@@ -126,22 +120,14 @@ def _check_rows(n_max: int) -> None:
         raise BudgetExceededError("success table size", n_max, SUCCESS_TABLE_BUDGET)
 
 
-def _grown_h(n_max: int) -> list[int]:
-    """The shared h column, grown to hold h_{n_max}: h_k = k for k <= 5, then
-    h_n = h_{n-1} + h_{n-5} + 1.
-    """
-    global _h
-    h = _h
-    if len(h) <= n_max:
-        h = h.copy()
-        for n in range(len(h), n_max + 1):
-            h.append(h[n - 1] + h[n - 5] + 1)
-        _h = h
-    return h
+def _rho_n(n: int) -> Fraction:
+    return Fraction(_h.term(n + 1), shared_cache().term(n + 1) - 1)
 
 
-def _rho_n(h: list[int], n: int) -> Fraction:
-    return Fraction(h[n], shared_cache().term(n + 1) - 1)
+# The shared h and rho columns, from n = 0 (h_0 = rho_0 = 0): h_k = k for
+# k <= 5, then h_n = h_{n-1} + h_{n-5} + 1.
+_h = RecurrenceCache(range(6), lambda h: h[-1] + h[-5] + 1)
+_rho = RecurrenceCache((Fraction(0),), lambda rho: _rho_n(len(rho)))
 
 
 def success_counts(n_max: int) -> list[int]:
@@ -152,14 +138,13 @@ def success_counts(n_max: int) -> list[int]:
     (``oracle.greedy_failures``).
     """
     _check_rows(n_max)
-    return _grown_h(n_max)[: n_max + 1]
+    return _h.terms(n_max + 1)
 
 
 def success_row(n: int) -> tuple[int, Fraction]:
     """(h_n, rho_n) for one n, reducing one fraction, not n of them."""
     _check_rows(n)
-    h = _grown_h(n)
-    return h[n], _rho_n(h, n)
+    return _h.term(n + 1), _rho_n(n)
 
 
 def success_table(n_max: int) -> SuccessTable:
@@ -169,13 +154,8 @@ def success_table(n_max: int) -> SuccessTable:
     mutate them.  Only rows past the longest table asked for so far are
     reduced.
     """
-    global _rho
     _check_rows(n_max)
-    h = _grown_h(n_max)
-    rho = _rho
-    if len(rho) <= n_max:
-        rho = _rho = rho + [_rho_n(h, n) for n in range(len(rho), n_max + 1)]
-    return SuccessTable(h[: n_max + 1], rho[: n_max + 1])
+    return SuccessTable(_h.terms(n_max + 1), _rho.terms(n_max + 1))
 
 
 # --- the rewrite engine -----------------------------------------------------

@@ -26,7 +26,7 @@ from .numerics import Polynomial
 Kind = g.SBParams | Literal["quilt"]
 
 DEFINITIONAL_BUDGET = 25
-QUILT_ENUMERATION_BUDGET = 45  # d_45 is on the order of 1e6 subsets
+QUILT_ENUMERATION_BUDGET = 45  # d_45 = 5,057,751 subsets
 SB_ENUMERATION_BUDGET = 2 * 10**6  # subsets over indices <= N number about a_{N+1}
 MIN_SUMMANDS_BUDGET = 10**6
 DFS_COUNT_BUDGET = 10**12  # the walk visits every decomposition: about 1 s at 13 digits

@@ -34,33 +34,25 @@ TAKE = tuple(
 TAKE_AT_1 = tuple(-1 if mask & 0b10 else take for mask, take in enumerate(TAKE))
 
 
-class QuiltCache(RecurrenceCache):
-    """Memoized prefix of the quilt sequence, 1-based.
-
-    1..5 are forced one by one; 6 = 4 + 2 is already legal, so the sixth
+def _quilt_cache() -> RecurrenceCache:
+    """1..5 are forced one by one; 6 = 4 + 2 is already legal, so the sixth
     term is 7.  From there on q_{n+1} = q_n + q_{n-4}.
     """
-
-    __slots__ = ()
-
-    def __init__(self) -> None:
-        super().__init__((1, 2, 3, 4, 5, 7), 1, 5, 1)
+    return RecurrenceCache((1, 2, 3, 4, 5, 7), lambda t: t[-1] + t[-5])
 
 
-_shared = QuiltCache()
+_shared = _quilt_cache()
 
 
-def shared_cache() -> QuiltCache:
-    """Process-wide cache; fine to share since growth is append-only."""
+def shared_cache() -> RecurrenceCache:
+    """Process-wide cache of the quilt sequence, 1-based."""
     return _shared
 
 
-def quilt_terms(count: int) -> QuiltCache:
-    """A cache holding at least the first ``count`` terms."""
+def quilt_terms(count: int) -> RecurrenceCache:
+    """A new cache holding at least the first ``count`` terms."""
     check_sequence_length(count)
-    cache = QuiltCache()
-    cache.ensure_count(count)
-    return cache
+    return _quilt_cache().ensure_count(count)
 
 
 def is_fq_legal(indices: Iterable[int]) -> bool:

@@ -9,15 +9,21 @@ Three intertwined counts over subsets of {q_1 .. q_n}:
 For n >= 7 they satisfy d_n = c_n + d_{n-1}, c_n = d_{n-5} + c_{n-2} - b_{n-2},
 b_n = d_{n-7}, which collapse to the pure-d recurrence
 d_n = d_{n-1} + d_{n-2} - d_{n-3} + d_{n-5} - d_{n-9} for n >= 10.
+So d grows by that recurrence from d_0..d_9 = 1, 2, 3, 4, 6, 8, 11, 15, 21, 30,
+and c_n = d_n - d_{n-1} (every set without q_n) from c_0 = 1, and
+b_n = d_{n-7} from b_0..b_6 = 0, 0, 0, 0, 1, 1, 1 (the tests check the seeds
+against exhaustive enumeration).
 
-The d, c, b columns are append-only prefix tables, one per process beside
-the quilt cache: a call grows them only past their current length and hands
-out copies.  At COUNT_TABLES_BUDGET rows they hold about 7.3 MB (peak RSS
-growth in a fresh process, ``resource.getrusage``).
+Every column here, and cap_i and T_n below, is a recurrence cache, one per
+process beside the quilt cache (``generacci.RecurrenceCache``, whose lock
+guards their growth): a call grows them only past their current length and
+hands out copies.  At COUNT_TABLES_BUDGET rows d, c and b hold about 7.3 MB
+(peak RSS growth in a fresh process, ``resource.getrusage``).
 
 No legal set over 1..i sums past
 
-  cap_i = q_i + q_{i-2} + cap_{i-7}  (q_j = cap_j = 0 for j <= 0):
+  cap_i = q_i + q_{i-2} + cap_{i-7}  (q_j = cap_j = 0 for j <= 0,
+  so cap_0..cap_7 = 0, 1, 2, 4, 6, 8, 11, 14):
 
 gaps of 1, 3 and 4 are illegal, so three summands within seven consecutive
 indices would need gaps 2 and 2 (then 4 apart) or 5 and 1.  So any seven
@@ -64,9 +70,8 @@ cap_i - q_i = q_{i-2} + cap_{i-7} < q_{i-2} + q_{i-4} <= q_i (the tests
 check cap_i - q_i < q_i up to i = 3000), so a take at i leaves a term below
 q_i for the state that decides i-1.  That leaves 3 to 4 states per index on
 random m, where about 80% of them are live, and none at a term.
-The sweep reads q_i, cap_i and the index of each term value from one more
-append-only prefix per process; at m = 10^170 it has 1392 entries and holds
-about 0.2 MB (``sys.getsizeof``).
+The sweep reads q_i from the quilt cache's term list, and cap_i and the
+index of each term value from the cap column, whose step fills the index.
 ``oracle.count_decompositions_dfs`` is the naive depth-first reference that
 the sweep is tested against.
 """
@@ -77,6 +82,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import BudgetExceededError
+from .generacci import RecurrenceCache
 from .quilt import SKIP, TAKE, TAKE_AT_1, shared_cache
 
 AVERAGE_BUDGET = 30
@@ -100,56 +106,39 @@ class AverageReport(NamedTuple):
     exponent_estimate: float | None
 
 
-#: (d_n, c_n, b_n) for n = 0..6, below the recurrences' reach (the tests
-#: check them against exhaustive enumeration).
-_SEED_ROWS = ((1, 1, 0), (2, 1, 0), (3, 1, 0), (4, 1, 0), (6, 2, 1), (8, 2, 1), (11, 3, 1))
-
-#: The shared columns.  A longer prefix is built beside them and bound in one
-#: assignment, so an interrupted or refused call leaves them whole.
-_tables = CountTables(*(list(col) for col in zip(*_SEED_ROWS)))
+#: The shared d, c and b columns from n = 0 (module docstring).
+_d = RecurrenceCache((1, 2, 3, 4, 6, 8, 11, 15, 21, 30), lambda d: d[-1] + d[-2] - d[-3] + d[-5] - d[-9])
+_c = RecurrenceCache((1,), lambda c: _d.term(len(c) + 1) - _d.term(len(c)))
+_b = RecurrenceCache((0, 0, 0, 0, 1, 1, 1), lambda b: _d.term(len(b) - 6))
 
 
 def count_tables(n_max: int) -> CountTables:
-    """d, c, b for 0..n_max: literal seed rows below 7, recurrences beyond.
+    """d, c, b for 0..n_max (module docstring).
 
     The columns are fresh copies of the shared prefixes, so callers may
     mutate them.  Only rows past the longest table asked for so far are
     computed.
     """
-    global _tables
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if n_max > COUNT_TABLES_BUDGET:
         raise BudgetExceededError("count table size", n_max, COUNT_TABLES_BUDGET)
-    tables = _tables
-    if len(tables.d) <= n_max:
-        d, c, b = (col.copy() for col in tables)
-        for n in range(len(d), n_max + 1):
-            b.append(d[n - 7])
-            c.append(d[n - 5] + c[n - 2] - b[n - 2])
-            d.append(c[n] + d[n - 1])
-        tables = _tables = CountTables(d, c, b)
-    return CountTables(*(col[: n_max + 1] for col in tables))
+    return CountTables(_d.terms(n_max + 1), _c.terms(n_max + 1), _b.terms(n_max + 1))
 
 
-#: q_i, cap_i (module docstring) and {q_i: i} for i = 0..len - 1 (q_0 = cap_0 =
-#: 0, not in the map), shared and grown like ``_tables``.
-_sweep = ([0], [0], {})
+#: {q_i: i} for i = 1..len(_cap) - 1: literal for the seeds, filled by the step beyond.
+_index = {1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 7: 6, 9: 7}
 
 
-def _sweep_tables(top: int) -> tuple[list[int], list[int], dict[int, int]]:
-    """The shared (q, cap, index) prefix, grown past ``top`` if short; read only."""
-    global _sweep
-    q, cap, index = _sweep
-    if len(q) <= top:
-        terms = shared_cache().terms(top)
-        q, cap, index = q.copy(), cap.copy(), index.copy()
-        for i in range(len(q), top + 1):
-            q.append(terms[i - 1])
-            cap.append(q[i] + (q[i - 2] if i > 2 else 0) + (cap[i - 7] if i > 7 else 0))
-            index[q[i]] = i
-        _sweep = (q, cap, index)
-    return _sweep
+def _cap_step(cap: list[int]) -> int:
+    """cap_i (module docstring), entering q_i in the term index."""
+    i = len(cap)
+    q = shared_cache().term
+    _index[q(i)] = i
+    return q(i) + q(i - 2) + cap[i - 7]
+
+
+_cap = RecurrenceCache((0, 1, 2, 4, 6, 8, 11, 14), _cap_step)
 
 
 def count_decompositions(m: int) -> int:
@@ -164,14 +153,16 @@ def count_decompositions(m: int) -> int:
         raise ValueError(f"m must be >= 0, got {m}")
     if m == 0:
         return 1
-    top = shared_cache().index_of_largest_leq(m)
-    q, cap, index = _sweep_tables(top)
+    cache = shared_cache()
+    top = cache.index_of_largest_leq(m)
+    # read in place, not copied: both lists only ever grow
+    q, cap, index = cache._terms, _cap.ensure_count(top + 1)._terms, _index
     if m in index:
         return 1
     states = {(m, 0): 1}
     hit = 0
     for i in range(top, 0, -1):
-        v, below = q[i], cap[i - 1]
+        v, below = q[i - 1], cap[i - 1]
         takes = TAKE_AT_1 if i == 1 else TAKE
         nxt: dict[tuple[int, int], int] = {}
         for (left, mask), ways in states.items():  # left > 0 and not a term
@@ -194,13 +185,10 @@ def count_decompositions(m: int) -> int:
     return hit
 
 
-def _below_limit_totals(n: int) -> list[int]:
-    """T_0..T_n: literal seeds to T_7, the recurrence over d beyond (module docstring)."""
-    t = [1, 2, 3, 4, 5, 7, 10, 14]
-    d = count_tables(n).d
-    for k in range(8, n + 1):
-        t.append(t[k - 5] + t[k - 8] + d[k - 2] + d[k - 6])
-    return t[: n + 1]
+#: T_n from n = 0: literal seeds to T_7, the recurrence over d beyond (module docstring).
+_totals = RecurrenceCache(
+    (1, 2, 3, 4, 5, 7, 10, 14), lambda t: t[-5] + t[-8] + _d.term(len(t) - 1) + _d.term(len(t) - 5)
+)
 
 
 def average_decompositions(n: int) -> AverageReport:
@@ -215,9 +203,9 @@ def average_decompositions(n: int) -> AverageReport:
     if n > AVERAGE_BUDGET:
         raise BudgetExceededError("average enumeration index", n, AVERAGE_BUDGET)
     cache = shared_cache()
-    totals = _below_limit_totals(n)
-    average = Fraction(totals[n], cache.term(n + 1))
+    total = _totals.term(n + 1)
+    average = Fraction(total, cache.term(n + 1))
     exponent = None
     if n >= 2:
-        exponent = float(average / Fraction(totals[n - 1], cache.term(n)))
-    return AverageReport(n=n, total=totals[n], average=average, exponent_estimate=exponent)
+        exponent = float(average / Fraction(_totals.term(n), cache.term(n)))
+    return AverageReport(n=n, total=total, average=average, exponent_estimate=exponent)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genquilt.quilt import QuiltCache, is_fq_legal, quilt_terms
+from genquilt.quilt import is_fq_legal, quilt_terms
 
 # Start of the sequence as forced by the definition (cross-derived from the
 # definitional scan in test_oracle).
@@ -180,7 +180,7 @@ def test_terms_are_nearest_integer_to_dominant_growth():
 
 
 def test_cache_value_extension():
-    cache = QuiltCache()
+    cache = quilt_terms(1)
     cache.ensure_value(10**6)
     assert cache.term(len(cache)) > 10**6
     assert cache.index_of_largest_leq(106) == 15  # q_15 = 86 <= 106 < q_16 = 114

@@ -13,8 +13,9 @@ from genquilt.numerics import count_char, dominant_root
 from genquilt.oracle import count_decompositions_dfs, enumerate_legal
 from genquilt.quilt import is_fq_legal, quilt_terms
 from genquilt.quilt_count import (
-    _below_limit_totals,
-    _sweep_tables,
+    _cap,
+    _index,
+    _totals,
     average_decompositions,
     count_decompositions,
     count_tables,
@@ -22,9 +23,8 @@ from genquilt.quilt_count import (
 
 
 def _caps(top):
-    """q[i] = q_i and the sweep's legal-sum bounds cap[i], for i = 0..top at least."""
-    q, cap, _ = _sweep_tables(top)
-    return q, cap
+    """q[i] = q_i and the sweep's legal-sum bounds cap[i], for i = 0..top."""
+    return [0, *quilt_terms(top).terms(top)], _cap.terms(top + 1)
 
 
 def _identity_corpus():
@@ -230,10 +230,8 @@ class TestLegalSumCaps:
             assert cap[i] - q[i] < q[i], i
 
     def test_term_index_matches_the_terms(self):
-        q, cap, index = _sweep_tables(300)
-        assert len(q) == len(cap) == len(index) + 1 > 300
-        assert q[1:] == quilt_terms(len(q) - 1).terms(len(q) - 1)
-        assert index == {v: i for i, v in enumerate(q) if i}
+        n = len(_cap.ensure_count(301))
+        assert n > 300 and _index == {v: i for i, v in enumerate(quilt_terms(n - 1).terms(n - 1), 1)}
 
     def test_caps_bound_every_legal_sum(self):
         _, cap = _caps(30)
@@ -293,7 +291,7 @@ class TestAverages:
         by_value = enumerate_legal("quilt", 34).by_value
         q = quilt_terms(35).terms(35)  # q[n] = q_{n+1}
         expected = [sum(k for v, k in by_value.items() if v < q[n]) for n in range(35)]
-        assert _below_limit_totals(34) == expected
+        assert _totals.terms(35) == expected
 
     def test_totals_pinned_through_the_budget(self):
         # SHA-256 of the space-separated totals for n = 1..30, computed by the
