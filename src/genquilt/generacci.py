@@ -19,7 +19,7 @@ from operator import gt
 from threading import RLock
 from typing import Callable, Iterable
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, check_size
 from .record import FrozenRecord
 
 #: Most terms ``generate`` and ``quilt.quilt_terms`` hand out: the n-th term
@@ -141,18 +141,6 @@ class RecurrenceCache:
         return bisect_right(self._terms, m)
 
 
-def check_sequence_length(count: int) -> None:
-    """Refuse a requested term count below 1 or above TERMS_BUDGET.
-
-    Callers run it before they build a cache, so a refused count allocates
-    nothing.
-    """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if count > TERMS_BUDGET:
-        raise BudgetExceededError("sequence length", count, TERMS_BUDGET)
-
-
 _shared: dict[SBParams, RecurrenceCache] = {}
 
 
@@ -161,7 +149,7 @@ def generate(params: SBParams, count: int) -> RecurrenceCache:
 
     Literal seeds 1 .. (s+1)b + 1, then a_n = a_{n-b} + b * a_{n-(s+1)b}.
     """
-    check_sequence_length(count)
+    check_size("count", count, "sequence length", TERMS_BUDGET)
     cache = _shared.get(params)
     if cache is None:
         b, far = params.b, (params.s + 1) * params.b

@@ -26,7 +26,7 @@ from bisect import bisect_right, insort
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, check_size
 from .generacci import Decomposition, RecurrenceCache, decompose
 from .quilt import is_fq_legal, shared_cache
 
@@ -113,13 +113,6 @@ def structure_conditions(dec: Decomposition) -> tuple[bool, bool]:
     return cond1, cond2
 
 
-def _check_rows(n_max: int) -> None:
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if n_max > SUCCESS_TABLE_BUDGET:
-        raise BudgetExceededError("success table size", n_max, SUCCESS_TABLE_BUDGET)
-
-
 def _rho_n(n: int) -> Fraction:
     return Fraction(_h.term(n + 1), shared_cache().term(n + 1) - 1)
 
@@ -137,13 +130,13 @@ def success_counts(n_max: int) -> list[int]:
     Counted directly, h_n is q_{n+1} - 1 less the greedy failures below q_{n+1}
     (``oracle.greedy_failures``).
     """
-    _check_rows(n_max)
+    check_size("n_max", n_max, "success table size", SUCCESS_TABLE_BUDGET)
     return _h.terms(n_max + 1)
 
 
 def success_row(n: int) -> tuple[int, Fraction]:
     """(h_n, rho_n) for one n, reducing one fraction, not n of them."""
-    _check_rows(n)
+    check_size("n_max", n, "success table size", SUCCESS_TABLE_BUDGET)
     return _h.term(n + 1), _rho_n(n)
 
 
@@ -154,7 +147,7 @@ def success_table(n_max: int) -> SuccessTable:
     mutate them.  Only rows past the longest table asked for so far are
     reduced.
     """
-    _check_rows(n_max)
+    check_size("n_max", n_max, "success table size", SUCCESS_TABLE_BUDGET)
     return SuccessTable(_h.terms(n_max + 1), _rho.terms(n_max + 1))
 
 

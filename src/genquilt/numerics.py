@@ -4,9 +4,10 @@ Polynomials carry exact integer coefficients.  The dominant positive root
 is isolated by a sign-change scan, and its bracket is the cell that exact
 bisection would reach, found in O(log k) exact evaluations for k bits by
 Newton steps at doubling precision that integer sign checks certify (the
-bracket is a certificate); Newton steps in doubles then polish the root
-inside it.  The other roots come from one Durand-Kerner iteration in double
-precision, seeded evenly on the circle of the Fujiwara bound.  The (s,b)
+bracket is a certificate).  One safeguarded Newton loop in doubles both
+seeds that search and polishes the root inside the bracket.  The other
+roots come from one Durand-Kerner iteration in double precision, seeded
+evenly on the circle of the Fujiwara bound.  The (s,b)
 rate r^{1/b} takes its error bound from the exact bracket of r, and
 leading-constant fits are exact integer ratios rounded once, so nothing
 depends on a working precision.
@@ -108,6 +109,8 @@ def greedy_aux_char() -> Polynomial:
 class RootReport(NamedTuple):
     """Dominant-root analysis of one characteristic polynomial.
 
+    ``dominant_root`` is a double inside the exact root bracket, polished by
+    the same safeguarded Newton loop that seeds the bracket search.
     ``error_bound`` is the width of the exact root bracket (for (s,b), the
     bracket of y = x^b divided by b), rounded up to a double, so it is never
     below that width and never 0.  It is not the error of the float
@@ -300,32 +303,23 @@ def dominant_root(p: Polynomial, tol: float = DEFAULT_TOL) -> RootReport:
 
     The caller asserts such a root exists (true for every in-scope
     polynomial); absence of a sign change on the scan range is an error.
-    ``error_bound`` is the exact bracket's width, at most ``tol``; the float
-    root's own error can exceed it when ``tol`` is below about 1e-16.
+    The root is ``_float_root`` run on the exact bracket, so however wide
+    ``tol`` is, it is converged in doubles; should that loop overflow, the
+    bracket's midpoint stands in.  ``error_bound`` is the exact bracket's
+    width, at most ``tol``; the float root's own error can exceed it when
+    ``tol`` is below about 1e-16.
     """
     if p.degree < 1:
         raise ValueError("degree must be >= 1")
     lo, hi = dominant_root_bracket(p, tol)
-    root = _newton_polish(p, (lo + hi) / 2, lo, hi)
+    root = _float_root(p, float(lo), float(hi))
+    if root is None:
+        root = float((lo + hi) / 2)
     return RootReport(
         dominant_root=root,
         error_bound=_width_bound(lo, hi, 1),
         secondary_modulus=_secondary_modulus(p, root),
     )
-
-
-def _newton_polish(p: Polynomial, x0: Fraction, lo: Fraction, hi: Fraction) -> float:
-    dp = p.derivative()
-    x = float(x0)
-    for _ in range(4):
-        slope = dp(x)
-        if slope == 0:
-            break
-        nxt = x - p(x) / slope
-        if not (float(lo) <= nxt <= float(hi)):
-            break
-        x = nxt
-    return x
 
 
 def generacci_char_analysis(params: SBParams, tol: float = DEFAULT_TOL) -> RootReport:

@@ -19,7 +19,7 @@ from typing import Literal, NamedTuple
 
 from . import generacci as g
 from . import quilt as q
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, check_size
 from .greedy import greedy_decompose
 from .numerics import Polynomial
 
@@ -57,10 +57,7 @@ def definitional_sequence(kind: Kind, count: int) -> list[int]:
     first value with no legal decomposition over the terms so far (an
     exhaustive search, hence the budget).
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if count > DEFINITIONAL_BUDGET:
-        raise BudgetExceededError("definitional sequence length", count, DEFINITIONAL_BUDGET)
+    check_size("count", count, "definitional sequence length", DEFINITIONAL_BUDGET)
     terms: list[int] = []
 
     def representable(m: int) -> bool:
@@ -169,10 +166,7 @@ def greedy_failures(limit: int) -> list[int]:
 
 def min_summands_table(m_max: int) -> list[int]:
     """DP table t with t[m] = minimal number of quilt summands for m (t[0] = 0)."""
-    if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
-    if m_max > MIN_SUMMANDS_BUDGET:
-        raise BudgetExceededError("min-summands DP size", m_max, MIN_SUMMANDS_BUDGET)
+    check_size("m_max", m_max, "min-summands DP size", MIN_SUMMANDS_BUDGET)
     cache = q.shared_cache()
     denoms = cache.terms(cache.index_of_largest_leq(m_max))
     big = m_max + 1

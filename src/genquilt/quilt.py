@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .generacci import RecurrenceCache, check_sequence_length
+from .errors import check_size
+from .generacci import TERMS_BUDGET, RecurrenceCache
 
 #: Index differences that make a pair of summands illegal.
 FORBIDDEN_DIFFS = frozenset({1, 3, 4})
@@ -34,14 +35,10 @@ TAKE = tuple(
 TAKE_AT_1 = tuple(-1 if mask & 0b10 else take for mask, take in enumerate(TAKE))
 
 
-def _quilt_cache() -> RecurrenceCache:
-    """1..5 are forced one by one; 6 = 4 + 2 is already legal, so the sixth
-    term is 7.  From there on q_{n+1} = q_n + q_{n-4}.
-    """
-    return RecurrenceCache((1, 2, 3, 4, 5, 7), lambda t: t[-1] + t[-5])
-
-
-_shared = _quilt_cache()
+#: The quilt sequence, 1-based, one cache per process.  1..5 are forced one
+#: by one; 6 = 4 + 2 is already legal, so the sixth term is 7.  From there on
+#: q_{n+1} = q_n + q_{n-4}.
+_shared = RecurrenceCache((1, 2, 3, 4, 5, 7), lambda t: t[-1] + t[-5])
 
 
 def shared_cache() -> RecurrenceCache:
@@ -50,9 +47,9 @@ def shared_cache() -> RecurrenceCache:
 
 
 def quilt_terms(count: int) -> RecurrenceCache:
-    """A new cache holding at least the first ``count`` terms."""
-    check_sequence_length(count)
-    return _quilt_cache().ensure_count(count)
+    """The process-wide cache, grown to at least the first ``count`` terms."""
+    check_size("count", count, "sequence length", TERMS_BUDGET)
+    return _shared.ensure_count(count)
 
 
 def is_fq_legal(indices: Iterable[int]) -> bool:

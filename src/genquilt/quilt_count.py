@@ -81,7 +81,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import BudgetExceededError
+from .errors import check_size
 from .generacci import RecurrenceCache
 from .quilt import SKIP, TAKE, TAKE_AT_1, shared_cache
 
@@ -119,15 +119,12 @@ def count_tables(n_max: int) -> CountTables:
     mutate them.  Only rows past the longest table asked for so far are
     computed.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if n_max > COUNT_TABLES_BUDGET:
-        raise BudgetExceededError("count table size", n_max, COUNT_TABLES_BUDGET)
+    check_size("n_max", n_max, "count table size", COUNT_TABLES_BUDGET)
     return CountTables(_d.terms(n_max + 1), _c.terms(n_max + 1), _b.terms(n_max + 1))
 
 
-#: {q_i: i} for i = 1..len(_cap) - 1: literal for the seeds, filled by the step beyond.
-_index = {1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 7: 6, 9: 7}
+#: {q_i: i} for i = 1..len(_cap) - 1: the seed rows from the quilt cache, the rest by the step.
+_index = {q: i for i, q in enumerate(shared_cache().terms(7), 1)}
 
 
 def _cap_step(cap: list[int]) -> int:
@@ -198,10 +195,7 @@ def average_decompositions(n: int) -> AverageReport:
     q_{n+1}, so the total is T_n (module docstring).  The exponent estimate
     is average(n)/average(n-1), defined for n >= 2.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > AVERAGE_BUDGET:
-        raise BudgetExceededError("average enumeration index", n, AVERAGE_BUDGET)
+    check_size("n", n, "average enumeration index", AVERAGE_BUDGET)
     cache = shared_cache()
     total = _totals.term(n + 1)
     average = Fraction(total, cache.term(n + 1))

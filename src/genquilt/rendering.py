@@ -9,9 +9,9 @@ def decimal_string(value: Fraction, places: int) -> str:
     """``value`` as a fixed-point decimal with ``places`` digits, half-up."""
     if places < 0:
         raise ValueError(f"places must be >= 0, got {places}")
-    sign = "-" if value < 0 else ""
     scaled = abs(value) * 10**places
     units = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
+    sign = "-" if value < 0 and units else ""  # never "-0.00"
     digits = str(units).rjust(places + 1, "0")
     if places == 0:
         return sign + digits

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import BudgetExceededError
+from .errors import check_size
 from .generacci import SBParams, generate
 
 DISTRIBUTION_BUDGET = 500
@@ -53,16 +53,9 @@ def _count_polynomial(params: SBParams, n: int) -> list[int]:
     return [b**k * math.comb(n - s * (k - 1), k) for k in range((n + s) // (s + 1) + 1)]
 
 
-def _check_bins(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > DISTRIBUTION_BUDGET:
-        raise BudgetExceededError("distribution bin count", n, DISTRIBUTION_BUDGET)
-
-
 def summand_distribution(params: SBParams, n: int) -> SummandDistribution:
     """Exact distribution of the summand count; its total is checked against a_{bn+1}."""
-    _check_bins(n)
+    check_size("n", n, "distribution bin count", DISTRIBUTION_BUDGET)
     poly = _count_polynomial(params, n)
     total = sum(poly)
     expected_total = generate(params, params.b * n + 1).term(params.b * n + 1)
@@ -119,8 +112,8 @@ def gaussian_fit(params: SBParams, n_min: int, n_max: int) -> GaussianFit:
     """
     if n_max - n_min < 5:
         raise ValueError(f"need n_max - n_min >= 5, got [{n_min}, {n_max}]")
-    _check_bins(n_min)
-    _check_bins(n_max)
+    for n in (n_min, n_max):
+        check_size("n", n, "distribution bin count", DISTRIBUTION_BUDGET)
     ns = list(range(n_min, n_max + 1))
     dists = [summand_distribution(params, n) for n in ns]
     if any(d.variance == 0 for d in dists):

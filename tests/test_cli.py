@@ -136,6 +136,13 @@ class TestRoots:
         assert abs(float(row["dominant_root"]) - 1.39704) < 1e-5
         assert float(row["leading_constant"]) > 0
 
+    def test_count_poly_at_coarse_tol(self, capsys):
+        # the root is polished inside the wide bracket, not left at its midpoint 1.25
+        record = run_json(capsys, "roots", "quilt-count", "--tol", "0.5")
+        row = record["rows"][0]
+        assert (row["dominant_root"], row["error_bound"]) == ("1.39703527535", "0.5")
+        assert (row["leading_constant"], row["residual"]) == ("1.47783377288", "8.22978213317e-10")
+
     def test_generacci(self, capsys):
         record = run_json(capsys, "roots", "generacci", "--s", "1", "--b", "1")
         assert abs(float(record["rows"][0]["dominant_root"]) - 1.6180339887) < 1e-9
@@ -230,6 +237,35 @@ def test_oversized_request_is_refused_before_allocating(capsys, argv):
     assert code == 3
     assert out == ""
     assert "budget" in err
+
+
+SB1 = "generacci --s 1 --b 1"
+
+
+@pytest.mark.parametrize(
+    "command, code, message",
+    [
+        ("seq quilt --count 0", 2, "count must be >= 1, got 0"),
+        ("seq quilt --count 50001", 3, "budget exceeded: sequence length: requested 50001, budget is 50000"),
+        (f"seq {SB1} --count 50001", 3, "budget exceeded: sequence length: requested 50001, budget is 50000"),
+        ("tables quilt-count --n 0", 2, "n_max must be >= 1, got 0"),
+        ("tables greedy-success --n 0", 2, "n_max must be >= 1, got 0"),
+        ("greedy ratio --n 0", 2, "n_max must be >= 1, got 0"),
+        ("tables quilt-count --n 10001", 3, "budget exceeded: count table size: requested 10001, budget is 10000"),
+        ("tables greedy-success --n 10001", 3, "budget exceeded: success table size: requested 10001, budget is 10000"),
+        ("greedy ratio --n 10001", 3, "budget exceeded: success table size: requested 10001, budget is 10000"),
+        ("average quilt --n 0", 2, "n must be >= 1, got 0"),
+        (f"stats {SB1} --n-min 0 --n-max 6", 2, "n must be >= 1, got 0"),
+        ("average quilt --n 31", 3, "budget exceeded: average enumeration index: requested 31, budget is 30"),
+        (
+            f"stats {SB1} --n-min 496 --n-max 501",
+            3,
+            "budget exceeded: distribution bin count: requested 501, budget is 500",
+        ),
+    ],
+)
+def test_refused_size_exit_code_and_message(capsys, command, code, message):
+    assert run(capsys, *command.split()) == (code, "", f"genquilt: {message}\n")
 
 
 class TestHarness:

@@ -191,6 +191,15 @@ def test_durand_kerner_runs_once_per_polynomial(monkeypatch):
         assert len(evaluations) > swept
 
 
+@pytest.mark.parametrize("poly", [quilt_char(), count_char(), greedy_aux_char()], ids=["quilt", "count", "aux"])
+@pytest.mark.parametrize("tol", [0.5, 0.1, 1e-3])
+def test_coarse_tolerance_still_converges_the_root(poly, tol):
+    # however wide the bracket, the double is polished to the root, not its midpoint
+    lo, hi = dominant_root_bracket(poly, Fraction(1, 10**30))
+    mid = float((lo + hi) / 2)
+    assert abs(dominant_root(poly, tol).dominant_root - mid) <= 4 * math.ulp(mid)
+
+
 @pytest.mark.parametrize("tol", [5e-324, 1e-60, 1e-12])
 def test_error_bound_is_the_exact_width_rounded_up(tol):
     def check(bound, width):

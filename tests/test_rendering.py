@@ -22,6 +22,10 @@ def test_half_rounds_up():
 def test_integer_and_negative():
     assert decimal_string(Fraction(7), 3) == "7.000"
     assert decimal_string(Fraction(-7, 4), 2) == "-1.75"
+    # a value that rounds to zero prints no sign; -0.005 still rounds away
+    assert decimal_string(Fraction(-1, 1000), 2) == "0.00"
+    assert decimal_string(Fraction(-4, 10), 0) == "0"
+    assert decimal_string(Fraction(-5, 1000), 2) == "-0.01"
 
 
 def test_zero_places():
