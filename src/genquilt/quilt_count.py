@@ -53,31 +53,39 @@ couples the top indices.
 
 Per-integer counts come from one iterative sweep of the legality automaton
 (the transfer-matrix method), stepped through the mask tables that ``quilt``
-defines.  It decides the indices from the top down and keeps a dict from
-state (remainder, 4-bit window mask) to an exact number of ways; equal
-states merge.  A remainder above cap_{i-1} is pruned.
+defines.  It decides the indices from the top down.  A state (remainder,
+4-bit window mask), with its exact number of ways, is filed only at its
+decision index, the largest i with q_i at most the remainder, where equal
+states merge.  A remainder above cap_{i-1} when index i is skipped, or left
+by a take at i, is pruned.
+
+At index i the largest summand is i, i-1 or i-2, as cap_{i-3} < q_i (cap_k <
+q_{k+3} above).  So the sweep tries the takes at i, i-1 and i-2 in turn,
+shifting the window once per skip, and stops at the first skip the prune
+refuses; no skip is stored.  A take at k that leaves r jumps to r's decision
+index j, found by bisecting the terms below q_k, with its window shifted
+down past k-1..j+1.  Those indices hold terms above r, so the state could
+only skip them, and the prune would refuse none: r < q_{j+1} <= cap_j + 1,
+as cap_j >= q_j + q_{j-2} >= q_j + q_{j-4} = q_{j+1} for j >= 6, and the
+seeds give j <= 5 (the tests check j up to 3000).
 
 A remainder that is a term is resolved at once, not carried.  q_j is the
 smallest positive integer with no legal decomposition over q_1..q_{j-1}
 (``quilt``), and every later term exceeds q_j, so {j} is the only legal set
-worth q_j.  A state about to decide index i with remainder q_j therefore
-completes in exactly one way if j <= i and its window, shifted down past
-i..j+1, lets j be taken (the {1, 3} table at j = 1), and in none otherwise.
-Only a take makes a new remainder, so the sweep checks each take and m
-itself: m = q_j counts 1 with no sweep.  At a take the j <= i test never
-fails: the prune keeps a remainder at index i at most cap_i, and
-cap_i - q_i = q_{i-2} + cap_{i-7} < q_{i-2} + q_{i-4} <= q_i (the tests
-check cap_i - q_i < q_i up to i = 3000), so a take at i leaves a term below
-q_i for the state that decides i-1.  That leaves 3 to 4 states per index on
-random m, where about 80% of them are live, and none at a term.
-The sweep reads q_i from the quilt cache's term list, and cap_i and the
-index of each term value from the cap column, whose step fills the index.
-``oracle.count_decompositions_dfs`` is the naive depth-first reference that
-the sweep is tested against.
+worth q_j.  A take that leaves q_j therefore completes in exactly one way if
+its window, shifted down to j, lets j be taken (the {1, 3} table at j = 1),
+and in none otherwise; m = q_j counts 1 with no sweep.  The bisection below
+q_k never misses: a take at k finds at most cap_k (r <= cap_j above, or m <
+q_{k+1} at the top), and cap_k - q_k = q_{k-2} + cap_{k-7} < q_{k-2} +
+q_{k-4} <= q_k (the tests check k up to 3000), so it leaves less than q_k.
+The sweep reads q_i from the quilt cache's term list and cap_i from the cap
+column.  ``oracle.count_decompositions_dfs`` is the naive depth-first
+reference that the sweep is tested against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -123,19 +131,10 @@ def count_tables(n_max: int) -> CountTables:
     return CountTables(_d.terms(n_max + 1), _c.terms(n_max + 1), _b.terms(n_max + 1))
 
 
-#: {q_i: i} for i = 1..len(_cap) - 1: the seed rows from the quilt cache, the rest by the step.
-_index = {q: i for i, q in enumerate(shared_cache().terms(7), 1)}
-
-
-def _cap_step(cap: list[int]) -> int:
-    """cap_i (module docstring), entering q_i in the term index."""
-    i = len(cap)
-    q = shared_cache().term
-    _index[q(i)] = i
-    return q(i) + q(i - 2) + cap[i - 7]
-
-
-_cap = RecurrenceCache((0, 1, 2, 4, 6, 8, 11, 14), _cap_step)
+#: cap_i from i = 0 (module docstring).
+_cap = RecurrenceCache(
+    (0, 1, 2, 4, 6, 8, 11, 14), lambda cap: shared_cache().term(len(cap)) + shared_cache().term(len(cap) - 2) + cap[-7]
+)
 
 
 def count_decompositions(m: int) -> int:
@@ -144,7 +143,9 @@ def count_decompositions(m: int) -> int:
     One downward sweep (module docstring) from the largest index whose term
     is at most ``m``.  A remainder that reaches 0 or a term completes in one
     way or none, counted at once.  The work tracks the index of ``m`` (about
-    eight indices per decimal digit), not the count returned.
+    eight indices per decimal digit), not the count returned: on random m
+    about one state per two indices, each trying about two takes, with a
+    bisection per take.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
@@ -153,32 +154,41 @@ def count_decompositions(m: int) -> int:
     cache = shared_cache()
     top = cache.index_of_largest_leq(m)
     # read in place, not copied: both lists only ever grow
-    q, cap, index = cache._terms, _cap.ensure_count(top + 1)._terms, _index
-    if m in index:
+    q, cap = cache._terms, _cap.ensure_count(top + 1)._terms
+    if q[top - 1] == m:
         return 1
-    states = {(m, 0): 1}
+    # pending[i]: the states whose decision index is i, none at a term
+    pending: list[dict[tuple[int, int], int] | None] = [None] * (top + 1)
+    pending[top] = {(m, 0): 1}
     hit = 0
     for i in range(top, 0, -1):
-        v, below = q[i - 1], cap[i - 1]
-        takes = TAKE_AT_1 if i == 1 else TAKE
-        nxt: dict[tuple[int, int], int] = {}
-        for (left, mask), ways in states.items():  # left > 0 and not a term
-            if left <= below:
-                key = (left, SKIP[mask])
-                nxt[key] = nxt.get(key, 0) + ways
-            take = takes[mask]
-            if take >= 0 and v <= left:
-                left -= v
-                if not left:
-                    hit += ways
-                elif left <= below:
-                    j = index.get(left)
-                    if j is None:
-                        key = (left, take)
-                        nxt[key] = nxt.get(key, 0) + ways
-                    elif (TAKE_AT_1 if j == 1 else TAKE)[(take << (i - 1 - j)) & 0b1111] >= 0:
+        states = pending[i]
+        if states is None:
+            continue
+        for (left, mask), ways in states.items():
+            k = i  # i, i-1 or i-2: the only indices the largest summand can take
+            while True:
+                below = cap[k - 1]
+                take = (TAKE_AT_1 if k == 1 else TAKE)[mask]
+                if take >= 0:
+                    rest = left - q[k - 1]
+                    if not rest:
                         hit += ways
-        states = nxt
+                    elif rest <= below:
+                        j = bisect_right(q, rest, 0, k - 1)
+                        window = (take << (k - 1 - j)) & 0b1111
+                        if q[j - 1] != rest:
+                            filed = pending[j]
+                            if filed is None:
+                                filed = pending[j] = {}
+                            key = (rest, window)
+                            filed[key] = filed.get(key, 0) + ways
+                        elif (TAKE_AT_1 if j == 1 else TAKE)[window] >= 0:
+                            hit += ways
+                if left > below:
+                    break
+                mask = SKIP[mask]
+                k -= 1
     return hit
 
 

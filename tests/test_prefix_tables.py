@@ -133,21 +133,16 @@ def test_interrupted_growth_leaves_the_tables_whole():
 
 
 def test_sweep_prefix_grows_only_past_its_length_and_survives_interruption():
-    # count_decompositions reads cap_i and the term index from the cap
-    # column: only its seeds exist at import, a smaller m grows nothing, and
-    # the index holds exactly the terms up to the column's length, also
-    # after a growth that was interrupted part way.
+    # count_decompositions reads cap_i from the cap column: only its seeds
+    # exist at import, a smaller m grows nothing, and a growth that was
+    # interrupted part way leaves a prefix that the next call extends.
     _run("""
 from genquilt import quilt, quilt_count as qc
 
-def index_matches():
-    n = len(qc._cap)
-    return qc._index == {v: i for i, v in enumerate(quilt.shared_cache().terms(n - 1), 1)}
-
-assert len(qc._cap) == 8 and index_matches()
+assert len(qc._cap) == 8
 qc.count_decompositions(10**20)
 n = len(qc._cap)
-assert n > 90 and index_matches()
+assert n > 90
 first = qc._cap.terms(n)
 qc.count_decompositions(10**12 + 7)
 assert len(qc._cap) == n
@@ -165,10 +160,9 @@ except KeyboardInterrupt:
 else:
     raise AssertionError("growth was not interrupted")
 qc._cap._step = real
-assert len(qc._cap) == n + 50 and qc._cap.terms(n) == first and index_matches()
+assert len(qc._cap) == n + 50 and qc._cap.terms(n) == first
 assert qc.count_decompositions(10**20) == qc.count_decompositions(10**20)
 qc._cap.ensure_count(n + 101)
-assert index_matches()
 """)
 
 
@@ -231,7 +225,6 @@ assert shared == q[1 : len(shared) + 1]
 cap = qc._cap.terms(len(qc._cap))
 assert cap[:8] == [0, 1, 2, 4, 6, 8, 11, 14]
 assert all(cap[i] == q[i] + q[i - 2] + cap[i - 7] for i in range(8, len(cap)))
-assert qc._index == {q[i]: i for i in range(1, len(cap))}
 """
 
 
@@ -303,7 +296,7 @@ def test_columns_pinned_at_their_budgets():
     success = greedy.success_table(greedy.SUCCESS_TABLE_BUDGET)
     top = quilt.shared_cache().index_of_largest_leq(10**4299)  # a 4300-digit m
     cap = quilt_count._cap.terms(top + 1)
-    index = sorted(((i, v) for v, i in quilt_count._index.items() if i <= top))
+    index = list(enumerate(quilt.shared_cache().terms(top), 1))
     assert top == 35201 and len(index) == top
     digests = {
         "d": _digest(tables.d),

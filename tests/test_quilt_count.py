@@ -14,7 +14,6 @@ from genquilt.oracle import count_decompositions_dfs, enumerate_legal
 from genquilt.quilt import is_fq_legal, quilt_terms
 from genquilt.quilt_count import (
     _cap,
-    _index,
     _totals,
     average_decompositions,
     count_decompositions,
@@ -204,6 +203,20 @@ class TestCountDecompositions:
                     if m >= 0:
                         assert count_decompositions(m) == count_decompositions_dfs(m), (i, m)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_oracle_dfs_at_the_jump_edges(self, data):
+        # m = q_a + r for remainders at the edges of the jump from a take at
+        # a: just below, at and above q_j (the bisection's and the term
+        # check's edges), just below q_{j+1}, and at cap_j and one past it
+        # (the prune's edge).
+        q, cap = _caps(46)
+        a = data.draw(st.integers(8, 45), label="a")
+        j = data.draw(st.integers(1, a - 1), label="j")
+        r = data.draw(st.sampled_from((q[j] - 1, q[j], q[j] + 1, q[j + 1] - 1, cap[j], cap[j] + 1)), label="r")
+        m = q[a] + r
+        assert count_decompositions(m) == count_decompositions_dfs(m)
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             count_decompositions(-1)
@@ -229,9 +242,19 @@ class TestLegalSumCaps:
         for i in range(1, 3001):
             assert cap[i] - q[i] < q[i], i
 
-    def test_term_index_matches_the_terms(self):
-        n = len(_cap.ensure_count(301))
-        assert n > 300 and _index == {v: i for i, v in enumerate(quilt_terms(n - 1).terms(n - 1), 1)}
+    def test_a_skip_run_never_prunes(self):
+        # A remainder below q_{j+1} is at most cap_j, so the skips the sweep
+        # jumps over, down to the decision index j, would all have passed.
+        q, cap = _caps(3001)
+        for j in range(1, 3001):
+            assert q[j + 1] - 1 <= cap[j], j
+
+    def test_a_decision_takes_within_three_indices(self):
+        # At decision index i the remainder is at least q_i, more than any
+        # legal set below i - 2 sums to: the largest summand is i, i-1 or i-2.
+        q, cap = _caps(3000)
+        for i in range(3, 3001):
+            assert cap[i - 3] < q[i], i
 
     def test_caps_bound_every_legal_sum(self):
         _, cap = _caps(30)
