@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, handler, targets: list[str], **flags) -> None:
         sub = commands.add_parser(name)
-        sub.set_defaults(handler=handler)
+        sub.set_defaults(handler=handler, parser=sub)  # usage errors name the verb
         sub.add_argument("target", choices=targets)
         for flag, kw in flags.items():
             sub.add_argument(f"--{flag.replace('_', '-')}", **kw)
@@ -251,10 +251,9 @@ def _emit(record: dict, fmt: str, out) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        record = args.handler(args, parser)
+        record = args.handler(args, args.parser)
     except BudgetExceededError as exc:
         print(f"genquilt: budget exceeded: {exc}", file=sys.stderr)
         return 3

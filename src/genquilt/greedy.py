@@ -7,8 +7,10 @@ the result is always legal, structurally rigid (consecutive index gaps of at
 least 5, except for an optional trailing 4,2 pair below a prefix ending at
 10 or higher), and uses the minimum possible number of summands.
 
-Minimality is witnessed constructively: five sum-preserving rewrite moves
-turn ANY multiset of quilt terms into the Greedy-6 decomposition without ever
+Minimality is witnessed constructively by one sum-preserving rewrite rule:
+replace two nearby entries (index gap at most 4) by the plain-greedy
+decomposition of their sum, then finish with Greedy-6's tail swap.  It turns
+ANY multiset of quilt terms into the Greedy-6 decomposition without ever
 increasing the summand count.  Termination is guaranteed by the lexicographic
 measure (summand count, index sum, count of indices in {2..5}), which every
 step strictly decreases.
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, NamedTuple
 
 from .errors import BudgetExceededError, check_size
@@ -153,65 +156,50 @@ def success_table(n_max: int) -> SuccessTable:
 
 # --- the rewrite engine -----------------------------------------------------
 #
-# Move k takes an anchor n and the next-lower entry of the multiset, at
-# index gap k - 1 (so move 1 takes a repeated index).  The five moves are:
-#   1: 2 q_n            -> q_{n+2} + q_{n-5}   (n >= 7, small cases below)
-#   2: q_n + q_{n-1}    -> q_{n+2}             (n >= 3; the n = 2 pair gives q_3)
-#   3: q_n + q_{n-2}    -> q_{n+1} + q_{n-5}   (n >= 8, small cases below)
-#   4: q_n + q_{n-3}    -> q_{n+1} + q_{n-8}   (n >= 10, small cases below)
-#   5: q_n + q_{n-4}    -> q_{n+1}             (n >= 6; (5,1) has no move)
-# plus the terminal swap q_5 + q_1 -> q_4 + q_2, named "tail".
-#
-# Small-case tables of the indices added; a one-element entry means the move
-# merges two summands into one.  The (5,3) case is q_6 + q_1: the sums 5 + 3
-# and 7 + 1 are both 8, and sum preservation is non-negotiable here.
-#
-# Each step is checked locally.  A move removes a fixed pair of indices and
-# adds a fixed one- or two-index tuple, and the rest of the multiset is left
-# alone.  So the whole-multiset sum is unchanged exactly when the removed
-# terms sum to the added ones.  Likewise the measure (summand count, index
-# sum, count of indices in {2..5}) changes by the added tuple's measure minus
-# the removed pair's, so it shrinks lexicographically exactly when the added
-# tuple's measure is below the removed pair's.
-_SMALL_1 = {6: (8, 2), 5: (7, 1), 4: (6, 1), 3: (5, 1), 2: (4,), 1: (2,)}
-_SMALL_3 = {7: (8, 2), 6: (7, 2), 5: (6, 1), 4: (5, 1), 3: (4,)}
-_SMALL_4 = {9: (10, 2), 8: (9, 1), 7: (8, 1), 6: (7, 1), 5: (6,), 4: (5,)}
+# Move g + 1 takes an anchor n and the next-lower entry of the multiset, at
+# index gap g (so move 1 takes a repeated index), and replaces that pair with
+# the plain-greedy decomposition of q_n + q_{n-g}.  The Padovan identities
+# make that one or two parts: from n = 10 on they are q_{n+2} + q_{n-5},
+# q_{n+2}, q_{n+1} + q_{n-5}, q_{n+1} + q_{n-8} and q_{n+1} for g = 0..4.
+# And q_n + q_{n-g} <= 2 q_n < q_{n+3}, so no move adds an index above n + 2.
 
 
-def _move_parts(move: str, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The indices ``move`` at anchor n removes, and the indices it adds."""
-    if move == "1":
-        return (n, n), (n + 2, n - 5) if n >= 7 else _SMALL_1[n]
-    if move == "2":
-        return (n, n - 1), (n + 2 if n >= 3 else 3,)
-    if move == "3":
-        return (n, n - 2), (n + 1, n - 5) if n >= 8 else _SMALL_3[n]
-    if move == "4":
-        return (n, n - 3), (n + 1, n - 8) if n >= 10 else _SMALL_4[n]
-    if move == "5":
-        return (n, n - 4), (n + 1,)
-    return _TAIL
+@cache
+def _pair_greedy(n: int, gap: int) -> tuple[int, ...]:
+    """The plain-greedy indices of q_n + q_{n-gap}, once per process.
+
+    Anchors stop at NORMALIZE_INDEX_BUDGET + 2, so the memo holds at most
+    five entries per anchor: 10.5 MB with every one filled (``tracemalloc``).
+    """
+    q = shared_cache()
+    return decompose(q, q.term(n) + q.term(n - gap)).indices
 
 
 def normalize_to_greedy6(indices: Iterable[int]) -> MoveTrace:
     """Rewrite any multiset of quilt indices to its Greedy-6 normal form.
 
+    Every move obeys one rule: it removes an anchor n and the next-lower
+    entry n - g (0 <= g <= 4, and g = 4 only from n = 6) and adds the
+    plain-greedy decomposition of q_n + q_{n-g}.  Once no move applies, the
+    Greedy-6 tail swap (5,1) -> (4,2) ends the run, so the engine is plain
+    greedy on pairs followed by the swap that ``greedy6_decompose`` makes.
+
     One loop does all the work.  The multiset is kept as a sorted list,
     edited in place, and each step records it as a descending tuple.  Moves
     are applied deterministically: adjacent entries are scanned from the
     largest index down, and the first anchor n whose next-lower entry lies at
-    index gap k - 1 takes move k.  A move at anchor n creates nothing above
+    index gap g takes move g + 1.  A move at anchor n creates nothing above
     n + 2 and cannot wake any anchor above n + 6, so one bisection restarts
-    the scan there instead of at the top.  The terminal (5,1) -> (4,2) swap
-    runs only once no move applies.
+    the scan there instead of at the top.
 
     Every step is checked in exact arithmetic against the pair of index
-    tuples it swaps: the removed and added terms must have equal sums (which
-    is the same as the whole multiset keeping its sum), and every step but
-    the tail must strictly shrink the termination measure.  A failed check
-    raises AssertionError.  Each step's ``after`` tuple is its ``before``
-    tuple with the moved indices taken out and put in, and is the next
-    step's ``before``.
+    tuples it swaps, the rest of the multiset being left alone: the removed
+    and added terms must have equal sums (the same as the whole multiset
+    keeping its sum), and every step but the tail must strictly shrink the
+    termination measure, which changes by the added tuple's measure minus
+    the removed pair's.  A failed check raises AssertionError.  Each step's
+    ``after`` tuple is its ``before`` tuple with the moved indices taken out
+    and put in, and is the next step's ``before``.
 
     Inputs of more than NORMALIZE_PARTS_BUDGET parts, or with an index above
     NORMALIZE_INDEX_BUDGET, raise BudgetExceededError before any move runs.
@@ -251,7 +239,7 @@ def normalize_to_greedy6(indices: Iterable[int]) -> MoveTrace:
             n = rising[k]
             gap = n - rising[k - 1]
             if gap < 4 or (gap == 4 and n >= 6):
-                move = "12345"[gap]
+                move, gone, new = "12345"[gap], (n, n - gap), _pair_greedy(n, gap)
                 break
         else:
             # With no move left no index repeats and the entry after a 5 is
@@ -259,7 +247,7 @@ def normalize_to_greedy6(indices: Iterable[int]) -> MoveTrace:
             if state[-2:] != _TAIL[0]:
                 break
             move, n, k = "tail", 5, 1
-        gone, new = _move_parts(move, n)
+            gone, new = _TAIL
         del rising[k - 1 : k + 1]  # the pair that gone names
         for i in new:
             insort(rising, i)

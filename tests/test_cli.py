@@ -1,5 +1,6 @@
 """CLI surface: subcommand grammar, formats, determinism, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
@@ -10,10 +11,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genquilt import stats
 from genquilt.cli import main
-from genquilt.greedy import NORMALIZE_PARTS_BUDGET, SUCCESS_TABLE_BUDGET
+from genquilt.greedy import (
+    NORMALIZE_INDEX_BUDGET,
+    NORMALIZE_PARTS_BUDGET,
+    SUCCESS_TABLE_BUDGET,
+    greedy6_decompose,
+)
 from genquilt.quilt import quilt_terms
 from test_readme_golden import readme_commands
 
@@ -55,6 +63,7 @@ class TestSeq:
         with pytest.raises(SystemExit) as exc:
             main(["seq", "generacci", "--count", "5"])
         assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: genquilt seq ")
 
 
 class TestDecompose:
@@ -213,6 +222,52 @@ class TestNormalize:
         with pytest.raises(SystemExit) as exc:
             main(["normalize", "quilt", "--indices", "7,x"])
         assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: genquilt normalize ")
+
+
+_INDEX_LISTS = st.sampled_from(
+    [
+        "",
+        ",,,",
+        "0",
+        "=-1,2",
+        "7,x",
+        "1",
+        str(NORMALIZE_INDEX_BUDGET),
+        str(NORMALIZE_INDEX_BUDGET + 1),
+        ",".join(["1"] * (NORMALIZE_PARTS_BUDGET + 1)),
+    ]
+)
+
+
+def _main_in_process(*argv) -> tuple[int, str, str]:
+    # like run(), without capsys: a hypothesis example may not share a test's fixture
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_INDEX_LISTS, min_size=1, max_size=3).map(",".join))
+def test_normalize_exit_contract(indices):
+    # 0, 2 or 3 and never a traceback; a success is deterministic and ends
+    # in the Greedy-6 decomposition of the sum.
+    argv = ("normalize", "quilt", f"--indices={indices}")
+    code, out, err = _main_in_process(*argv)
+    assert code in (0, 2, 3), (code, err)
+    assert "Traceback" not in err
+    if code:
+        assert out == ""
+        return
+    assert _main_in_process(*argv) == (0, out, err)
+    record = json.loads(out)
+    m = int(record["params"]["m"])
+    final = greedy6_decompose(m).indices if m else ()
+    assert record["rows"][-1] == {"step": "final", "move": "", "before": "", "after": "+".join(map(str, final))}
 
 
 @pytest.mark.parametrize(

@@ -430,8 +430,8 @@ def _count_map_moves(parts) -> list[tuple[str, tuple[int, ...]]]:
     # restarting at n + 6, and the tail taken once no move applies if a 5 and
     # a 1 are both present.  Returns (move, multiset after the move) per step.
     counts = Counter(parts)
+    cache = shared_cache()
     if len(counts) == len(parts):
-        cache = shared_cache()
         desc = tuple(sorted(parts, reverse=True))
         cond1, cond2 = structure_conditions(Decomposition(desc, tuple(map(cache.term, desc))))
         if cond1 != cond2:
@@ -449,7 +449,12 @@ def _count_map_moves(parts) -> list[tuple[str, tuple[int, ...]]]:
         return None
 
     def apply(move, n):
-        gone, new = greedy._move_parts(move, n)
+        # the pair's plain-greedy decomposition, computed here, not read from the engine
+        if move == "tail":
+            gone, new = (5, 1), (4, 2)
+        else:
+            gone = (n, n - "12345".index(move))
+            new = greedy_decompose(sum(map(cache.term, gone))).decomposition.indices
         counts.subtract(gone)
         counts.update(new)
         for i in gone:
@@ -476,8 +481,9 @@ def test_move_order_matches_count_map_scan(parts):
 
 class TestChecksAreReal:
     def test_sum_changing_move_is_caught(self, monkeypatch):
-        # 2 q_6 = 14 = q_8 + q_2; a corrupted table entry adds q_8 + q_3 = 15
-        monkeypatch.setitem(greedy._SMALL_1, 6, (8, 3))
+        # 2 q_6 = 14 = q_8 + q_2; a corrupted rule adds q_8 + q_3 = 15
+        real = greedy._pair_greedy
+        monkeypatch.setattr(greedy, "_pair_greedy", lambda n, gap: (8, 3) if (n, gap) == (6, 0) else real(n, gap))
         with pytest.raises(AssertionError, match="changed the sum"):
             normalize_to_greedy6([6, 6])
 
@@ -485,17 +491,45 @@ class TestChecksAreReal:
         # Removing and re-adding the same indices keeps the sum but makes no
         # progress.  Only the first move is corrupted, so an engine without
         # the measure check finishes (and fails this test) instead of looping.
-        real = greedy._move_parts
+        real = greedy._pair_greedy
         calls = []
 
-        def identity_first(move, n):
-            calls.append(move)
-            gone, new = real(move, n)
-            return (gone, gone) if len(calls) == 1 else (gone, new)
+        def identity_first(n, gap):
+            calls.append((n, gap))
+            return (n, n - gap) if len(calls) == 1 else real(n, gap)
 
-        monkeypatch.setattr(greedy, "_move_parts", identity_first)
+        monkeypatch.setattr(greedy, "_pair_greedy", identity_first)
         with pytest.raises(AssertionError, match="did not shrink the measure"):
             normalize_to_greedy6([7, 7])
+
+
+# The indices each move adds at anchor n, from n = 10 on (move g + 1 at gap g).
+_CLOSED_FORMS = (
+    lambda n: (n + 2, n - 5),
+    lambda n: (n + 2,),
+    lambda n: (n + 1, n - 5),
+    lambda n: (n + 1, n - 8),
+    lambda n: (n + 1,),
+)
+# (n, gap) -> indices added, where a closed form does not hold below n = 10.
+# The (5, 2) entry is q_6 + q_1: 5 + 3 and 7 + 1 are both 8.
+_SMALL_ANCHORS = {
+    (1, 0): (2,), (2, 0): (4,), (3, 0): (5, 1), (4, 0): (6, 1), (5, 0): (7, 1), (6, 0): (8, 2),
+    (2, 1): (3,),
+    (3, 2): (4,), (4, 2): (5, 1), (5, 2): (6, 1), (6, 2): (7, 2), (7, 2): (8, 2),
+    (4, 3): (5,), (5, 3): (6,), (6, 3): (7, 1), (7, 3): (8, 1), (8, 3): (9, 1), (9, 3): (10, 2),
+}
+
+
+def test_every_move_adds_the_greedy_decomposition_of_its_pair():
+    # Every (anchor, gap) the engine can reach: g = 0..3 from n = g + 1,
+    # g = 4 from n = 6, and anchors up to two above the index budget.
+    for n in range(1, NORMALIZE_INDEX_BUDGET + 3):
+        for gap in range(5 if n >= 6 else min(n, 4)):
+            added = greedy._pair_greedy(n, gap)
+            assert 1 <= len(added) <= 2
+            assert added == (_SMALL_ANCHORS.get((n, gap)) or _CLOSED_FORMS[gap](n)), (n, gap)
+    assert all(n < 10 for n, _ in _SMALL_ANCHORS)
 
 
 def test_index_over_budget_is_refused_before_growing_the_cache():
