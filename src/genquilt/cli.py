@@ -150,7 +150,7 @@ def _cmd_roots(args, parser) -> dict:
         elif args.target == "quilt-count":
             poly, terms = numerics.count_char(), quilt_count.count_tables(100).d[1:]
         else:  # greedy-aux, fitted on the shifted count g_n = h_n + 1
-            poly, terms = numerics.greedy_aux_char(), [h + 1 for h in greedy.success_counts(100)[1:]]
+            poly, terms = numerics.greedy_aux_char(), [h + 1 for h in greedy.success_table(100).h[1:]]
         report = numerics.dominant_root(poly, tol)
         stride = 1
     fit = numerics.fit_leading_constant(terms, report.dominant_root, stride)

@@ -121,20 +121,12 @@ def _rho_n(n: int) -> Fraction:
 
 
 # The shared h and rho columns, from n = 0 (h_0 = rho_0 = 0): h_k = k for
-# k <= 5, then h_n = h_{n-1} + h_{n-5} + 1.
+# k <= 5, then h_n = h_{n-1} + h_{n-5} + 1, two adds per row and no fraction
+# reduced.  g_n = h_n + 1 follows the quilt recurrence g_n = g_{n-1} + g_{n-5}.
+# Counted directly, h_n is q_{n+1} - 1 less the greedy failures below q_{n+1}
+# (``oracle.greedy_failures``).
 _h = RecurrenceCache(range(6), lambda h: h[-1] + h[-5] + 1)
 _rho = RecurrenceCache((Fraction(0),), lambda rho: _rho_n(len(rho)))
-
-
-def success_counts(n_max: int) -> list[int]:
-    """h_0..h_{n_max}, h_0 = 0: two adds per new row and no fraction reduced.
-
-    g_n = h_n + 1 follows the quilt recurrence g_n = g_{n-1} + g_{n-5}.
-    Counted directly, h_n is q_{n+1} - 1 less the greedy failures below q_{n+1}
-    (``oracle.greedy_failures``).
-    """
-    check_size("n_max", n_max, "success table size", SUCCESS_TABLE_BUDGET)
-    return _h.terms(n_max + 1)
 
 
 def success_row(n: int) -> tuple[int, Fraction]:
@@ -144,7 +136,7 @@ def success_row(n: int) -> tuple[int, Fraction]:
 
 
 def success_table(n_max: int) -> SuccessTable:
-    """h_n and rho_n for n = 1..n_max (``success_counts``, ``success_row``).
+    """h_n and rho_n for n = 1..n_max (``success_row``).
 
     Both columns are fresh copies of the shared prefixes, so callers may
     mutate them.  Only rows past the longest table asked for so far are
@@ -215,20 +207,18 @@ def normalize_to_greedy6(indices: Iterable[int]) -> MoveTrace:
         raise BudgetExceededError("normalization index", parts[0], NORMALIZE_INDEX_BUDGET)
 
     cache = shared_cache()
-    values = tuple(map([0, *cache.terms(parts[0])].__getitem__, parts))
-    if len(set(parts)) == len(parts):
+    m = sum(map([0, *cache.terms(parts[0])].__getitem__, parts))
+    normal = greedy6_decompose(m)
+    if parts == normal.indices:
         # Inputs already in normal form stay put.  Without this check the
         # raw move relation would take a (4,2) tail on a round trip through
         # (5,1) and back via the terminal swap.
-        dec = Decomposition(parts, values)
-        cond1, cond2 = structure_conditions(dec)
-        if cond1 != cond2:
-            return MoveTrace([], dec)
+        return MoveTrace([], normal)
 
     # Each step keeps the sum, so no index ever present exceeds the largest
     # index whose term fits in that sum, and a move adds at most two above its
     # anchor: terms[i] is q_i for every index a step can touch.
-    top = cache.index_of_largest_leq(sum(values)) + 2
+    top = cache.index_of_largest_leq(m) + 2
     terms = [0, *cache.terms(top)].__getitem__
     steps: list[MoveStep] = []
     state = parts

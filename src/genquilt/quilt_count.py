@@ -14,11 +14,13 @@ and c_n = d_n - d_{n-1} (every set without q_n) from c_0 = 1, and
 b_n = d_{n-7} from b_0..b_6 = 0, 0, 0, 0, 1, 1, 1 (the tests check the seeds
 against exhaustive enumeration).
 
-Every column here, and cap_i and T_n below, is a recurrence cache, one per
-process beside the quilt cache (``generacci.RecurrenceCache``, whose lock
-guards their growth): a call grows them only past their current length and
-hands out copies.  At COUNT_TABLES_BUDGET rows d, c and b hold about 7.3 MB
-(peak RSS growth in a fresh process, ``resource.getrusage``).
+d and c, and cap_i and T_n below, are recurrence caches, one per process
+beside the quilt cache (``generacci.RecurrenceCache``, whose lock guards
+their growth): a call grows them only past their current length and hands
+out copies.  b is no column of its own: ``count_tables`` reads it from the
+copy of d it hands out, sharing d's integers.  At COUNT_TABLES_BUDGET rows
+d and c hold about 6.8 MB (peak RSS growth in a fresh process,
+``resource.getrusage``).
 
 No legal set over 1..i sums past
 
@@ -114,10 +116,9 @@ class AverageReport(NamedTuple):
     exponent_estimate: float | None
 
 
-#: The shared d, c and b columns from n = 0 (module docstring).
+#: The shared d and c columns from n = 0 (module docstring).
 _d = RecurrenceCache((1, 2, 3, 4, 6, 8, 11, 15, 21, 30), lambda d: d[-1] + d[-2] - d[-3] + d[-5] - d[-9])
 _c = RecurrenceCache((1,), lambda c: _d.term(len(c) + 1) - _d.term(len(c)))
-_b = RecurrenceCache((0, 0, 0, 0, 1, 1, 1), lambda b: _d.term(len(b) - 6))
 
 
 def count_tables(n_max: int) -> CountTables:
@@ -128,7 +129,8 @@ def count_tables(n_max: int) -> CountTables:
     computed.
     """
     check_size("n_max", n_max, "count table size", COUNT_TABLES_BUDGET)
-    return CountTables(_d.terms(n_max + 1), _c.terms(n_max + 1), _b.terms(n_max + 1))
+    d = _d.terms(n_max + 1)
+    return CountTables(d, _c.terms(n_max + 1), [0, 0, 0, 0, 1, 1, 1, *d][: n_max + 1])
 
 
 #: cap_i from i = 0 (module docstring).
@@ -141,8 +143,8 @@ def count_decompositions(m: int) -> int:
     """Exact number of FQ-legal index sets summing to ``m`` (m = 0 counts 1).
 
     One downward sweep (module docstring) from the largest index whose term
-    is at most ``m``.  A remainder that reaches 0 or a term completes in one
-    way or none, counted at once.  The work tracks the index of ``m`` (about
+    is at most ``m``.  A remainder that reaches a term completes in one way
+    or none, counted at once.  The work tracks the index of ``m`` (about
     eight indices per decimal digit), not the count returned: on random m
     about one state per two indices, each trying about two takes, with a
     bisection per take.
@@ -157,7 +159,7 @@ def count_decompositions(m: int) -> int:
     q, cap = cache._terms, _cap.ensure_count(top + 1)._terms
     if q[top - 1] == m:
         return 1
-    # pending[i]: the states whose decision index is i, none at a term
+    # pending[i]: the states whose decision index is i, none at a term, so no take leaves 0
     pending: list[dict[tuple[int, int], int] | None] = [None] * (top + 1)
     pending[top] = {(m, 0): 1}
     hit = 0
@@ -172,9 +174,7 @@ def count_decompositions(m: int) -> int:
                 take = (TAKE_AT_1 if k == 1 else TAKE)[mask]
                 if take >= 0:
                     rest = left - q[k - 1]
-                    if not rest:
-                        hit += ways
-                    elif rest <= below:
+                    if rest <= below:
                         j = bisect_right(q, rest, 0, k - 1)
                         window = (take << (k - 1 - j)) & 0b1111
                         if q[j - 1] != rest:

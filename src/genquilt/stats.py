@@ -97,8 +97,6 @@ def _linear_fit(xs: list[float], ys: list[float]) -> tuple[float, float]:
     xm = sum(xs) / n
     ym = sum(ys) / n
     sxx = sum((x - xm) ** 2 for x in xs)
-    if sxx == 0:
-        raise ArithmeticError("degenerate fit: no spread in x")
     slope = sum((x - xm) * (y - ym) for x, y in zip(xs, ys)) / sxx
     return slope, ym - slope * xm
 
@@ -107,8 +105,7 @@ def gaussian_fit(params: SBParams, n_min: int, n_max: int) -> GaussianFit:
     """Fit mean and variance linearly in n over [n_min, n_max].
 
     The KS distance is evaluated at n_max on the exactly standardized
-    distribution.  A zero variance anywhere in the range is an error.  Both
-    ends are checked before any distribution is built.
+    distribution.  Both ends are checked before any distribution is built.
     """
     if n_max - n_min < 5:
         raise ValueError(f"need n_max - n_min >= 5, got [{n_min}, {n_max}]")
@@ -116,8 +113,6 @@ def gaussian_fit(params: SBParams, n_min: int, n_max: int) -> GaussianFit:
         check_size("n", n, "distribution bin count", DISTRIBUTION_BUDGET)
     ns = list(range(n_min, n_max + 1))
     dists = [summand_distribution(params, n) for n in ns]
-    if any(d.variance == 0 for d in dists):
-        raise ArithmeticError("zero variance in fitted range")
     a_hat, b_hat = _linear_fit([float(n) for n in ns], [float(d.mean) for d in dists])
     c_hat, d_hat = _linear_fit([float(n) for n in ns], [float(d.variance) for d in dists])
     return GaussianFit(a_hat, b_hat, c_hat, d_hat, ks_normal_distance(dists[-1]))

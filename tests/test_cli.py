@@ -313,6 +313,11 @@ SB1 = "generacci --s 1 --b 1"
         (f"stats {SB1} --n-min 0 --n-max 6", 2, "n must be >= 1, got 0"),
         ("average quilt --n 31", 3, "budget exceeded: average enumeration index: requested 31, budget is 30"),
         (
+            "seq generacci --s 1 --b 500000 --count 3",
+            3,
+            "budget exceeded: (s,b) seed size: requested 1000001, budget is 1000000",
+        ),
+        (
             f"stats {SB1} --n-min 496 --n-max 501",
             3,
             "budget exceeded: distribution bin count: requested 501, budget is 500",
@@ -321,6 +326,21 @@ SB1 = "generacci --s 1 --b 1"
 )
 def test_refused_size_exit_code_and_message(capsys, command, code, message):
     assert run(capsys, *command.split()) == (code, "", f"genquilt: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["seq --count 3", "decompose --m 5", "roots", "stats --n-min 1 --n-max 6"],
+)
+def test_refused_sb_params_are_usage_errors(capsys, command):
+    verb, *rest = command.split()
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "generacci", "--s", "0", "--b", "1", *rest])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: genquilt {verb} ")
+    assert captured.err.endswith(f"genquilt {verb}: error: s and b must be >= 1, got (0, 1)\n")
 
 
 class TestHarness:

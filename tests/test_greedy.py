@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -19,7 +20,6 @@ from genquilt.greedy import (
     greedy_decompose,
     normalize_to_greedy6,
     structure_conditions,
-    success_counts,
     success_row,
     success_table,
 )
@@ -106,7 +106,6 @@ class TestSuccessTable:
         rec = success_table(22)
         assert rec.h == h
         assert rec.rho == rho
-        assert success_counts(22) == h
         assert [success_row(n) for n in range(1, 23)] == list(zip(h, rho))[1:]
 
     def test_g_recurrence(self):
@@ -252,6 +251,21 @@ class TestMoveSystem:
             trace = normalize_to_greedy6(dec.indices)
             assert trace.steps == []
             assert trace.final.indices == dec.indices
+
+    def test_structure_theorem_and_fixpoints_agree_on_small_sets(self):
+        # The engine's early exit asks greedy6_decompose whether the input is
+        # already in normal form; the structure theorem must answer the same.
+        # Every set of 1-5 distinct indices from 1..22: 35,442 of them.
+        q = shared_cache().term
+        sets = 0
+        for size in range(1, 6):
+            for desc in itertools.combinations(range(22, 0, -1), size):
+                sets += 1
+                normal = greedy6_decompose(sum(map(q, desc))).indices == desc
+                cond1, cond2 = structure_conditions(Decomposition(desc, tuple(map(q, desc))))
+                assert (cond1 != cond2) == normal, desc
+                assert (not normalize_to_greedy6(desc).steps) == normal, desc
+        assert sets == 35442
 
     def test_empty_input(self):
         trace = normalize_to_greedy6([])

@@ -28,7 +28,7 @@ from genquilt import greedy, quilt_count
 from genquilt.errors import BudgetExceededError
 
 def lengths():
-    return [len(greedy._h), len(greedy._rho), *map(len, (quilt_count._d, quilt_count._c, quilt_count._b))]
+    return [len(greedy._h), len(greedy._rho), *map(len, (quilt_count._d, quilt_count._c))]
 
 for n in map(int, sys.argv[2:]):
     s, c = greedy.success_table(n), quilt_count.count_tables(n)
@@ -76,7 +76,7 @@ def test_call_order_and_copies_match_single_fresh_calls():
         *rows, (_, before, after) = _fresh(mode, *order)
         assert rows == [single[n] for n in order], mode
         # a refused call grows nothing: still 3002 rows (index 0 a pad) per column
-        assert before == after == [3002] * 5, mode
+        assert before == after == [3002] * 4, mode
 
 
 # Interrupts the growth of every shared column with a step that raises
@@ -91,7 +91,7 @@ greedy.success_table(40), qc.count_tables(40), qc.average_decompositions(10)
 qc.count_decompositions(10**8)
 columns = {
     "q": quilt.shared_cache(), "sb": generacci.generate(sb, 40), "h": greedy._h, "rho": greedy._rho,
-    "d": qc._d, "c": qc._c, "b": qc._b, "cap": qc._cap, "T": qc._totals,
+    "d": qc._d, "c": qc._c, "cap": qc._cap, "T": qc._totals,
 }
 if sys.argv[1] == "--interrupt":
     for name, col in columns.items():
@@ -182,7 +182,7 @@ def work(seed):
     try:
         for r in range(8):
             n = 30 * r + 11 * seed + 10
-            seen.append(("h", greedy.success_counts(n)))
+            seen.append(("h", greedy.success_table(n).h))
             seen.append(("dcb", qc.count_tables(n + 20)))
             seen.append(("rho", greedy.success_table(n // 2 + 5)))
             qc.count_decompositions(quilt.shared_cache().term(2 * n) + seed)
