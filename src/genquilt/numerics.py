@@ -7,10 +7,11 @@ Newton steps at doubling precision that integer sign checks certify (the
 bracket is a certificate).  One safeguarded Newton loop in doubles both
 seeds that search and polishes the root inside the bracket.  The other
 roots come from one Durand-Kerner iteration in double precision, seeded
-evenly on the circle of the Fujiwara bound.  The (s,b)
-rate r^{1/b} takes its error bound from the exact bracket of r, and
-leading-constant fits are exact integer ratios rounded once, so nothing
-depends on a working precision.
+evenly on the circle of the Fujiwara bound.  One report path serves both
+families: a polynomial's own root, and the (s,b) rate r^{1/b}, whose r is
+the polished root of the bin-level polynomial and whose error bound comes
+from r's exact bracket.  Leading-constant fits are exact integer ratios
+rounded once, so nothing depends on a working precision.
 """
 
 from __future__ import annotations
@@ -285,51 +286,52 @@ def _durand_kerner(coeffs: tuple[int, ...]) -> tuple[complex, ...]:
     raise ArithmeticError(f"roots of {p} did not converge")
 
 
-def _width_bound(lo: Fraction, hi: Fraction, b: int) -> float:
-    """(hi - lo) / b rounded up to a double: never below it, and never 0."""
+def _report(p: Polynomial, tol: Fraction | float, b: int) -> RootReport:
+    """The unique positive root y > 1 of ``p`` as lambda = y^{1/b}, with its bounds.
+
+    The one report path of both families: b = 1 for ``dominant_root``, and
+    b for the (s,b) bin-level polynomial, where y = x^b.  The caller asserts
+    such a root exists; absence of a sign change on the scan range is an
+    error.  The root is ``_float_root`` run on the exact bracket, so however
+    wide ``tol`` is, it is converged in doubles; should that loop overflow,
+    the bracket's midpoint stands in.  On y >= 1 the map y -> y^{1/b} has
+    slope at most 1/b, so ``error_bound`` is the bracket's width divided by
+    b, rounded up to a double: never below it, and never 0.  The float
+    root's own error can exceed it when ``tol`` is below about 1e-16.  The
+    secondary modulus is the largest among the other roots of ``p``, each
+    taken to the power 1/b.
+    """
+    lo, hi = dominant_root_bracket(p, tol)
+    assert lo >= 1
+    y = _float_root(p, float(lo), float(hi))
+    if y is None:
+        y = float((lo + hi) / 2)
     width = (hi - lo) / b
     bound = float(width)
-    return bound if bound >= width else math.nextafter(bound, math.inf)
-
-
-def _secondary_modulus(p: Polynomial, dominant: float) -> float:
-    """Largest modulus among the roots other than the one nearest ``dominant``."""
-    rest = sorted(complex_roots(p), key=lambda z: abs(z - dominant))[1:]
-    return max((abs(z) for z in rest), default=0.0)
+    if bound < width:
+        bound = math.nextafter(bound, math.inf)
+    rest = sorted(complex_roots(p), key=lambda z: abs(z - y))[1:]
+    secondary = max((abs(z) for z in rest), default=0.0)
+    return RootReport(y ** (1 / b), bound, secondary ** (1 / b))
 
 
 def dominant_root(p: Polynomial, tol: float = DEFAULT_TOL) -> RootReport:
-    """The unique positive root exceeding 1, plus the next-largest modulus.
+    """The unique positive root exceeding 1, plus the next-largest modulus (``_report``).
 
-    The caller asserts such a root exists (true for every in-scope
-    polynomial); absence of a sign change on the scan range is an error.
-    The root is ``_float_root`` run on the exact bracket, so however wide
-    ``tol`` is, it is converged in doubles; should that loop overflow, the
-    bracket's midpoint stands in.  ``error_bound`` is the exact bracket's
-    width, at most ``tol``; the float root's own error can exceed it when
-    ``tol`` is below about 1e-16.
+    ``error_bound`` is the exact bracket's width, at most ``tol``.
     """
     if p.degree < 1:
         raise ValueError("degree must be >= 1")
-    lo, hi = dominant_root_bracket(p, tol)
-    root = _float_root(p, float(lo), float(hi))
-    if root is None:
-        root = float((lo + hi) / 2)
-    return RootReport(
-        dominant_root=root,
-        error_bound=_width_bound(lo, hi, 1),
-        secondary_modulus=_secondary_modulus(p, root),
-    )
+    return _report(p, tol, 1)
 
 
 def generacci_char_analysis(params: SBParams, tol: float = DEFAULT_TOL) -> RootReport:
-    """Dominant root of the (s,b) system via the bin-level polynomial.
+    """Dominant root lambda = r^{1/b} of the (s,b) system (``_report``).
 
-    Brackets the unique positive root r of y^{s+1} - y^s - b (it lies in
-    (1, b+2): the value at 1 is -b and at b+1 is positive) and reports
-    lambda = r^{1/b}.  On y >= 1 the map y -> y^{1/b} has slope at most 1/b,
-    so the bracket width divided by b bounds the error of lambda.  Checks
-    r > 1 via the bracket.
+    r is the unique positive root of y^{s+1} - y^s - b; it lies in (1, b+2),
+    as the value at 1 is -b and at b+1 is positive.  The y-root is
+    bracketed at half the tolerance, so the bound stays within tol even for
+    b = 1.
 
     The polynomial is square-free for every s, b >= 1: its derivative is
     y^{s-1}((s+1)y - s), so a repeated root could only be 0 or s/(s+1), but
@@ -338,18 +340,7 @@ def generacci_char_analysis(params: SBParams, tol: float = DEFAULT_TOL) -> RootR
     half_tol = _exact_tol(tol) / 2
     if params.s + 1 > ROOT_DEGREE_BUDGET:
         raise BudgetExceededError("(s,b) root degree", params.s + 1, ROOT_DEGREE_BUDGET)
-    aux = generacci_aux(params)
-    b = params.b
-    # bracket the y-root at half the tolerance so the bound stays within tol
-    # even for b = 1; the Cauchy bound scan covers (1, b+2]
-    lo, hi = dominant_root_bracket(aux, half_tol)
-    assert lo >= 1
-    mid = float((lo + hi) / 2)
-    return RootReport(
-        dominant_root=mid ** (1 / b),
-        error_bound=_width_bound(lo, hi, b),
-        secondary_modulus=_secondary_modulus(aux, mid) ** (1 / b),
-    )
+    return _report(generacci_aux(params), half_tol, params.b)
 
 
 def fit_leading_constant(

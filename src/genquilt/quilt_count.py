@@ -6,13 +6,15 @@ Three intertwined counts over subsets of {q_1 .. q_n}:
   c_n  legal subsets containing q_n (c_0 = 1 by convention),
   b_n  legal subsets containing both q_n and q_{n-2}.
 
-For n >= 7 they satisfy d_n = c_n + d_{n-1}, c_n = d_{n-5} + c_{n-2} - b_{n-2},
-b_n = d_{n-7}, which collapse to the pure-d recurrence
-d_n = d_{n-1} + d_{n-2} - d_{n-3} + d_{n-5} - d_{n-9} for n >= 10.
-So d grows by that recurrence from d_0..d_9 = 1, 2, 3, 4, 6, 8, 11, 15, 21, 30,
-and c_n = d_n - d_{n-1} (every set without q_n) from c_0 = 1, and
-b_n = d_{n-7} from b_0..b_6 = 0, 0, 0, 0, 1, 1, 1 (the tests check the seeds
-against exhaustive enumeration).
+For n >= 7, a legal set holding q_n either holds q_{n-2}, and then nothing
+else above n-7 (gaps of 1, 3 and 4 are illegal, so b_n = d_{n-7}), or it
+does not, and then nothing else above n-5.  So c_n = d_{n-5} + d_{n-7}, and
+as every other set lies within 1..n-1, d_n = d_{n-1} + d_{n-5} + d_{n-7},
+whose characteristic polynomial is ``numerics.count_char``.  The {1, 3} rule
+never couples these top indices.  So d grows by that recurrence from
+d_0..d_6 = 1, 2, 3, 4, 6, 8, 11, c_n = d_n - d_{n-1} (every set without q_n)
+from c_0 = 1, and b_n = d_{n-7} from b_0..b_6 = 0, 0, 0, 0, 1, 1, 1 (the
+tests check the seeds against exhaustive enumeration).
 
 d and c, and cap_i and T_n below, are recurrence caches, one per process
 beside the quilt cache (``generacci.RecurrenceCache``, whose lock guards
@@ -117,7 +119,7 @@ class AverageReport(NamedTuple):
 
 
 #: The shared d and c columns from n = 0 (module docstring).
-_d = RecurrenceCache((1, 2, 3, 4, 6, 8, 11, 15, 21, 30), lambda d: d[-1] + d[-2] - d[-3] + d[-5] - d[-9])
+_d = RecurrenceCache((1, 2, 3, 4, 6, 8, 11), lambda d: d[-1] + d[-5] + d[-7])
 _c = RecurrenceCache((1,), lambda c: _d.term(len(c) + 1) - _d.term(len(c)))
 
 

@@ -156,6 +156,12 @@ class TestRoots:
         record = run_json(capsys, "roots", "generacci", "--s", "1", "--b", "1")
         assert abs(float(record["rows"][0]["dominant_root"]) - 1.6180339887) < 1e-9
 
+    def test_generacci_at_coarse_tol(self, capsys):
+        # the bin-level root is polished inside the wide bracket, not left at its midpoint 1.375
+        record = run_json(capsys, "roots", "generacci", "--s", "2", "--b", "1", "--tol", "0.5")
+        row = record["rows"][0]
+        assert (row["dominant_root"], row["leading_constant"]) == ("1.46557123188", "0.896185071926")
+
     def test_greedy_aux(self, capsys):
         record = run_json(capsys, "roots", "greedy-aux")
         # dominant root of r^5 - r^4 - 1 coincides with the quilt growth rate

@@ -200,6 +200,17 @@ def test_coarse_tolerance_still_converges_the_root(poly, tol):
     assert abs(dominant_root(poly, tol).dominant_root - mid) <= 4 * math.ulp(mid)
 
 
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("b", [1, 2, 3])
+@pytest.mark.parametrize("tol", [0.5, 0.1, 1e-3])
+def test_coarse_tolerance_still_converges_the_sb_root(s, b, tol):
+    # the (s,b) report polishes the bin-level root too, not its bracket's midpoint
+    params = SBParams(s, b)
+    lo, hi = dominant_root_bracket(generacci_aux(params), Fraction(1, 10**30))
+    want = float((lo + hi) / 2) ** (1 / b)
+    assert abs(generacci_char_analysis(params, tol).dominant_root - want) <= 4 * math.ulp(want)
+
+
 @pytest.mark.parametrize("tol", [5e-324, 1e-60, 1e-12])
 def test_error_bound_is_the_exact_width_rounded_up(tol):
     def check(bound, width):

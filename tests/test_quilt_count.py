@@ -89,6 +89,8 @@ class TestCountTables:
         t = count_tables(200)
         for n in range(10, 201):
             assert t.d[n] == t.d[n - 1] + t.d[n - 2] - t.d[n - 3] + t.d[n - 5] - t.d[n - 9]
+        for n in range(7, 201):
+            assert t.d[n] == t.d[n - 1] + t.d[n - 5] + t.d[n - 7]
 
     def test_triple_recurrences(self):
         t = count_tables(120)

@@ -65,8 +65,8 @@ GOLDEN = {
         "5bffacf004d5ab6209337f97239e86635e45678a3856e2bcaaafe39365fd0724",
     ),
     "roots generacci --s 2 --b 1": (
-        "fdddcfadc1d6d322bfd07ac960a82012b8295697a4c48a998229dab62fd58120",
-        "d668f43e20cf6604de5790ae36c391e2ac4fa06116dedef2b5a49365d5a819ce",
+        "60910587d22d42b422d3314fadc341edd25b4a43f94f6a1dbe6b1dd869a07c08",
+        "ec2a47d8e963e8c1550bdd8cd0fa5b8983a5503297f82081464963ff15b8f4bb",
     ),
     "roots quilt-count": (
         "8eb4344183ee60f64225e7d15edcc53fa1b85dc7bd4b1f0621e1359fd6d00dcf",
