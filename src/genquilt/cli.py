@@ -8,36 +8,39 @@ strings, rationals both as num/den and as a 12-place decimal.
 
 Exit codes: 0 success, 2 usage or argument error, 3 budget exceeded.  A
 reader that closes stdout early (`| head`) ends the run with exit 0.
+
+Every call is a fresh process that compiles or loads what it imports, so
+each handler imports the library modules its own target runs and nothing
+else, ``_emit`` imports only its format's writer, and ``build_parser``
+imports no library module: ``genquilt count quilt`` never loads
+``numerics``, ``greedy`` or ``stats``, and ``--help`` loads only this module
+and ``errors``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import sys
-from fractions import Fraction
 
-from . import __version__, greedy, numerics, quilt, quilt_count, stats
+from . import __version__
 from .errors import BudgetExceededError
-from .generacci import SBParams, decompose, generate
-from .rendering import decimal_string, percent_string
 
 
 def _fmt_float(x: float | None) -> str:
     return "" if x is None else format(x, ".12g")
 
 
-def _fraction_fields(name: str, value: Fraction) -> dict:
+def _fraction_fields(name: str, value) -> dict:
+    from .rendering import decimal_string
     return {
         name: f"{value.numerator}/{value.denominator}",
         f"{name}_decimal": decimal_string(value, 12),
     }
 
 
-def _success_fields(h: int, rho: Fraction) -> dict:
+def _success_fields(h: int, rho) -> dict:
+    from .rendering import percent_string
     return {"h": str(h), **_fraction_fields("rho", rho), "rho_percent": percent_string(rho)}
 
 
@@ -55,7 +58,8 @@ def _record(command: str, params: dict, rows: list[dict], tolerances: dict | Non
     }
 
 
-def _sb(args: argparse.Namespace, parser: argparse.ArgumentParser) -> SBParams:
+def _sb(args: argparse.Namespace, parser: argparse.ArgumentParser):
+    from .generacci import SBParams
     if args.s is None or args.b is None:
         parser.error("generacci requires --s and --b")
     try:
@@ -67,9 +71,11 @@ def _sb(args: argparse.Namespace, parser: argparse.ArgumentParser) -> SBParams:
 
 def _cmd_seq(args, parser) -> dict:
     if args.target == "quilt":
+        from . import quilt
         terms = quilt.quilt_terms(args.count).terms(args.count)
         params = {"target": "quilt", "count": args.count}
     else:
+        from .generacci import generate
         sb = _sb(args, parser)
         terms = generate(sb, args.count).terms(args.count)
         params = {"target": "generacci", "s": sb.s, "b": sb.b, "count": args.count}
@@ -86,11 +92,14 @@ def _cmd_decompose(args, parser) -> dict:
     params: dict = {"target": args.target, "m": str(args.m)}
     extra: dict = {}  # columns after index and value
     if args.target == "quilt-greedy":
+        from . import greedy
         outcome = greedy.greedy_decompose(args.m)
         dec, extra = outcome.decomposition, {"legal": outcome.legal}
     elif args.target == "quilt-greedy6":
+        from . import greedy
         dec = greedy.greedy6_decompose(args.m)
     else:
+        from .generacci import decompose, generate
         sb = _sb(args, parser)
         params.update({"s": sb.s, "b": sb.b})
         dec = decompose(generate(sb, 1), args.m)
@@ -101,6 +110,7 @@ def _cmd_decompose(args, parser) -> dict:
 
 
 def _cmd_count(args, parser) -> dict:
+    from . import quilt_count
     n = quilt_count.count_decompositions(args.m)
     rows = [{"m": str(args.m), "count": str(n)}]
     return _record("count", {"target": "quilt", "m": str(args.m)}, rows)
@@ -108,12 +118,14 @@ def _cmd_count(args, parser) -> dict:
 
 def _cmd_tables(args, parser) -> dict:
     if args.target == "quilt-count":
+        from . import quilt_count
         tables = quilt_count.count_tables(args.n)
         rows = [
             {"n": n, "d": str(tables.d[n]), "c": str(tables.c[n]), "b": str(tables.b[n])}
             for n in range(1, args.n + 1)
         ]
     else:
+        from . import greedy, quilt
         table = greedy.success_table(args.n)
         cache = quilt.shared_cache()
         rows = [
@@ -124,6 +136,7 @@ def _cmd_tables(args, parser) -> dict:
 
 
 def _cmd_average(args, parser) -> dict:
+    from . import quilt_count
     report = quilt_count.average_decompositions(args.n)
     row = {
         "n": report.n,
@@ -135,9 +148,11 @@ def _cmd_average(args, parser) -> dict:
 
 
 def _cmd_roots(args, parser) -> dict:
-    tol = args.tol
+    from . import numerics
+    tol = numerics.DEFAULT_TOL if args.tol is None else args.tol
     params: dict = {"target": args.target, "tol": _fmt_float(tol)}
     if args.target == "generacci":
+        from .generacci import generate
         sb = _sb(args, parser)
         params.update({"s": sb.s, "b": sb.b})
         report = numerics.generacci_char_analysis(sb, tol)
@@ -146,10 +161,13 @@ def _cmd_roots(args, parser) -> dict:
         poly = numerics.generacci_char(sb)
     else:
         if args.target == "quilt":
+            from . import quilt
             poly, terms = numerics.quilt_char(), quilt.quilt_terms(60).terms(60)
         elif args.target == "quilt-count":
+            from . import quilt_count
             poly, terms = numerics.count_char(), quilt_count.count_tables(100).d[1:]
         else:  # greedy-aux, fitted on the shifted count g_n = h_n + 1
+            from . import greedy
             poly, terms = numerics.greedy_aux_char(), [h + 1 for h in greedy.success_table(100).h[1:]]
         report = numerics.dominant_root(poly, tol)
         stride = 1
@@ -166,11 +184,13 @@ def _cmd_roots(args, parser) -> dict:
 
 
 def _cmd_greedy(args, parser) -> dict:
+    from . import greedy
     row = {"n": args.n, **_success_fields(*greedy.success_row(args.n))}
     return _record("greedy", {"target": "ratio", "n": args.n}, [row])
 
 
 def _cmd_stats(args, parser) -> dict:
+    from . import stats
     sb = _sb(args, parser)
     fit = stats.gaussian_fit(sb, args.n_min, args.n_max)
     row = {name: _fmt_float(value) for name, value in fit._asdict().items()}
@@ -183,6 +203,7 @@ def _cmd_normalize(args, parser) -> dict:
         indices = [int(part) for part in args.indices.split(",") if part.strip()]
     except ValueError:
         parser.error(f"--indices must be a comma-separated list of integers, got {args.indices!r}")
+    from . import greedy
     trace = greedy.normalize_to_greedy6(indices)
     rows = [
         {
@@ -228,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("tables", _cmd_tables, ["quilt-count", "greedy-success"], n=intarg)
     add("average", _cmd_average, ["quilt"], n=intarg)
     add("roots", _cmd_roots, ["quilt", "generacci", "quilt-count", "greedy-aux"],
-        tol={"type": float, "default": numerics.DEFAULT_TOL}, **sbargs)
+        tol={"type": float}, **sbargs)  # None: _cmd_roots reads numerics.DEFAULT_TOL
     add("greedy", _cmd_greedy, ["ratio"], n=intarg)
     add("stats", _cmd_stats, ["generacci"], n_min=intarg, n_max=intarg, **sbargs)
     add("normalize", _cmd_normalize, ["quilt"], indices={"type": str, "required": True})
@@ -238,9 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(record: dict, fmt: str, out) -> None:
     fallback_columns = record.pop("_columns", [])
     if fmt == "json":
+        import json
         out.write(json.dumps(record, indent=2))
         out.write("\n")
         return
+    import csv
+    import io
     rows = record["rows"]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -207,7 +207,9 @@ def normalize_to_greedy6(indices: Iterable[int]) -> MoveTrace:
         raise BudgetExceededError("normalization index", parts[0], NORMALIZE_INDEX_BUDGET)
 
     cache = shared_cache()
-    m = sum(map([0, *cache.terms(parts[0])].__getitem__, parts))
+    # read in place, not copied: q[i - 1] is q_i, and the list only ever grows
+    q = cache.ensure_count(parts[0])._terms
+    m = sum(map(q.__getitem__, [i - 1 for i in parts]))
     normal = greedy6_decompose(m)
     if parts == normal.indices:
         # Inputs already in normal form stay put.  Without this check the
@@ -217,9 +219,8 @@ def normalize_to_greedy6(indices: Iterable[int]) -> MoveTrace:
 
     # Each step keeps the sum, so no index ever present exceeds the largest
     # index whose term fits in that sum, and a move adds at most two above its
-    # anchor: terms[i] is q_i for every index a step can touch.
-    top = cache.index_of_largest_leq(m) + 2
-    terms = [0, *cache.terms(top)].__getitem__
+    # anchor: q holds q_i for every index a step can touch.
+    cache.ensure_count(cache.index_of_largest_leq(m) + 2)
     steps: list[MoveStep] = []
     state = parts
     rising = sorted(parts)  # state in ascending order, edited in place
@@ -242,7 +243,13 @@ def normalize_to_greedy6(indices: Iterable[int]) -> MoveTrace:
         for i in new:
             insort(rising, i)
         after = tuple(rising[::-1])
-        if sum(map(terms, gone)) != sum(map(terms, new)):
+        # the removed value less the added one, in a plain loop: before Python
+        # 3.12 a comprehension reading q turns q into a closure cell, which
+        # slows every read of it
+        lost = q[gone[0] - 1] + q[gone[1] - 1]
+        for i in new:
+            lost -= q[i - 1]
+        if lost:
             raise AssertionError(f"move {move} at {n} changed the sum: {state} -> {after}")
         # the measure shrinks when the first nonzero difference, added minus
         # removed, of (count, index sum, count in 2..5) is negative
@@ -252,4 +259,4 @@ def normalize_to_greedy6(indices: Iterable[int]) -> MoveTrace:
         steps.append(MoveStep(move, state, after))
         state = after
         k = bisect_right(rising, n + 6) - 1
-    return MoveTrace(steps, Decomposition(state, tuple(map(terms, state))))
+    return MoveTrace(steps, Decomposition(state, tuple(map(q.__getitem__, [i - 1 for i in state]))))

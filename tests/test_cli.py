@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from genquilt import stats
 from genquilt.cli import main
+from genquilt.generacci import SEED_BUDGET, TERMS_BUDGET
 from genquilt.greedy import (
     NORMALIZE_INDEX_BUDGET,
     NORMALIZE_PARTS_BUDGET,
@@ -23,6 +24,7 @@ from genquilt.greedy import (
     greedy6_decompose,
 )
 from genquilt.quilt import quilt_terms
+from genquilt.quilt_count import AVERAGE_BUDGET, COUNT_TABLES_BUDGET
 from test_readme_golden import readme_commands
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -276,6 +278,52 @@ def test_normalize_exit_contract(indices):
     assert record["rows"][-1] == {"step": "final", "move": "", "before": "", "after": "+".join(map(str, final))}
 
 
+_BIG = str(7 * 10**4299 + 3)  # 4300 digits, the most int() converts by default
+
+
+def _edges(*budgets: int):
+    # 0, -1, 1, a 4300-digit integer, one a digit longer, and the values given
+    return st.sampled_from(["0", "-1", "1", _BIG, _BIG + "0", *map(str, budgets)])
+
+
+def _argvs(verb: str, *targets: str, **flags):
+    drawn = [values.map(f"--{flag}={{}}".format) for flag, values in flags.items()]
+    return st.tuples(st.just(verb), st.sampled_from(targets), *drawn)
+
+
+_SB_EDGES = _edges(SEED_BUDGET, SEED_BUDGET + 1)
+# seq at TERMS_BUDGET renders for seconds, so its count stops at budget + 1
+_COUNT_EDGES = _edges(TERMS_BUDGET + 1)
+_VERB_ARGVS = st.one_of(
+    _argvs("seq", "quilt", count=_COUNT_EDGES),
+    _argvs("seq", "generacci", count=_COUNT_EDGES, s=_SB_EDGES, b=_SB_EDGES),
+    _argvs("decompose", "quilt-greedy", "quilt-greedy6", m=_edges()),
+    _argvs("decompose", "generacci", m=_edges(), s=_SB_EDGES, b=_SB_EDGES),
+    _argvs("count", "quilt", m=_edges()),
+    _argvs(
+        "tables",
+        "quilt-count",
+        "greedy-success",
+        n=_edges(COUNT_TABLES_BUDGET, COUNT_TABLES_BUDGET + 1, SUCCESS_TABLE_BUDGET, SUCCESS_TABLE_BUDGET + 1),
+    ),
+    _argvs("average", "quilt", n=_edges(AVERAGE_BUDGET, AVERAGE_BUDGET + 1)),
+    _argvs("greedy", "ratio", n=_edges(SUCCESS_TABLE_BUDGET, SUCCESS_TABLE_BUDGET + 1)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_VERB_ARGVS)
+def test_verb_exit_contract(argv):
+    # the normalize contract for the verbs that size their work by a flag
+    code, out, err = _main_in_process(*argv)
+    assert code in (0, 2, 3), (code, err)
+    assert "Traceback" not in err
+    if code:
+        assert out == ""
+        return
+    assert _main_in_process(*argv) == (0, out, err)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -349,6 +397,28 @@ def test_refused_sb_params_are_usage_errors(capsys, command):
     assert captured.err.endswith(f"genquilt {verb}: error: s and b must be >= 1, got (0, 1)\n")
 
 
+# The genquilt modules each README command loads besides the package, cli,
+# errors, generacci and record: its target's modules and their imports.
+VERB_MODULES = {
+    "seq quilt --count 21": ("quilt",),
+    "seq generacci --s 1 --b 2 --count 10": (),
+    "decompose quilt-greedy --m 6": ("greedy", "quilt"),
+    "decompose quilt-greedy6 --m 27": ("greedy", "quilt"),
+    "decompose generacci --s 1 --b 2 --m 10": (),
+    "count quilt --m 106": ("quilt", "quilt_count"),
+    "tables quilt-count --n 13": ("quilt", "quilt_count"),
+    "tables greedy-success --n 17": ("greedy", "quilt", "rendering"),
+    "average quilt --n 25": ("quilt", "quilt_count", "rendering"),
+    "roots quilt --tol 1e-12": ("numerics", "quilt"),
+    "roots generacci --s 2 --b 1": ("numerics",),
+    "roots quilt-count": ("numerics", "quilt", "quilt_count"),
+    "roots greedy-aux": ("greedy", "numerics", "quilt"),
+    "greedy ratio --n 100": ("greedy", "quilt", "rendering"),
+    "stats generacci --s 1 --b 2 --n-min 15 --n-max 25": ("stats",),
+    "normalize quilt --indices 7,7": ("greedy", "quilt"),
+}
+
+
 class TestHarness:
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -413,6 +483,40 @@ class TestHarness:
         )
         assert proc.returncode == 0, proc.stderr.decode()
         assert proc.stdout == b"['genquilt', 'genquilt.errors']\n[]\n"
+
+    @pytest.mark.parametrize("command", [*sorted(VERB_MODULES), "--help", "count --help"])
+    def test_each_verb_loads_only_its_modules(self, command):
+        # Every call is a fresh process, so a module it imports and never
+        # runs is start-up time wasted.  Each README command runs in its own
+        # interpreter, as csv, which needs no json.
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        argv = shlex.split(command)
+        if "--help" not in argv:
+            argv += ["--format", "csv"]
+        code = (
+            "import contextlib, io, sys\n"
+            "from genquilt.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            "        code = main(sys.argv[1:])\n"
+            "    except SystemExit as exc:  # --help\n"
+            "        code = exc.code\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'genquilt'), 'json' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        loaded = ["genquilt", "genquilt.cli", "genquilt.errors"]
+        if command in VERB_MODULES:
+            loaded += [f"genquilt.{name}" for name in ("generacci", "record", *VERB_MODULES[command])]
+        assert proc.stdout.decode() == f"0 {sorted(loaded)} False\n"
+
+    def test_verb_modules_cover_the_readme(self):
+        assert set(VERB_MODULES) == set(readme_commands())
 
     def test_reader_closing_pipe_early_is_not_an_error(self):
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
