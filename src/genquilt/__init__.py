@@ -11,7 +11,13 @@ Names are imported from their modules (``genquilt.greedy``,
 """
 
 __version__ = "0.1.0"
-
-from .errors import BudgetExceededError
-
 __all__ = ["BudgetExceededError"]
+
+
+class BudgetExceededError(RuntimeError):
+    """An enumeration, simulation, or table request exceeds its configured budget."""
+
+    def __init__(self, what: str, requested, limit):
+        super().__init__(f"{what}: requested {requested}, budget is {limit}")
+        self.requested = requested
+        self.limit = limit

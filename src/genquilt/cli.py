@@ -14,7 +14,7 @@ each handler imports the library modules its own target runs and nothing
 else, ``_emit`` imports only its format's writer, and ``build_parser``
 imports no library module: ``genquilt count quilt`` never loads
 ``numerics``, ``greedy`` or ``stats``, and ``--help`` loads only this module
-and ``errors``.
+and the package root.
 """
 
 from __future__ import annotations
@@ -23,16 +23,33 @@ import argparse
 import os
 import sys
 
-from . import __version__
-from .errors import BudgetExceededError
+from . import BudgetExceededError, __version__
 
 
 def _fmt_float(x: float | None) -> str:
     return "" if x is None else format(x, ".12g")
 
 
+def decimal_string(value, places: int) -> str:
+    """The rational ``value`` as a fixed-point decimal with ``places`` digits,
+    half-up, with no float round-trip."""
+    if places < 0:
+        raise ValueError(f"places must be >= 0, got {places}")
+    scaled = abs(value) * 10**places
+    units = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
+    sign = "-" if value < 0 and units else ""  # never "-0.00"
+    digits = str(units).rjust(places + 1, "0")
+    if places == 0:
+        return sign + digits
+    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+
+
+def percent_string(ratio) -> str:
+    """A rational ratio as a percentage with four decimals, e.g. 92.4623."""
+    return decimal_string(ratio * 100, 4)
+
+
 def _fraction_fields(name: str, value) -> dict:
-    from .rendering import decimal_string
     return {
         name: f"{value.numerator}/{value.denominator}",
         f"{name}_decimal": decimal_string(value, 12),
@@ -40,7 +57,6 @@ def _fraction_fields(name: str, value) -> dict:
 
 
 def _success_fields(h: int, rho) -> dict:
-    from .rendering import percent_string
     return {"h": str(h), **_fraction_fields("rho", rho), "rho_percent": percent_string(rho)}
 
 

@@ -19,8 +19,7 @@ from operator import gt
 from threading import RLock
 from typing import Callable, Iterable
 
-from .errors import BudgetExceededError, check_size
-from .record import FrozenRecord
+from . import BudgetExceededError
 
 #: Most terms ``generate`` and ``quilt.quilt_terms`` hand out: the n-th term
 #: has up to about n/5 digits, so the cache holds up to about n^2/10 digits.
@@ -30,6 +29,53 @@ SEED_BUDGET = 10**6
 
 #: The one guard on growth of every RecurrenceCache in the process.
 _growth = RLock()
+
+
+def check_size(name: str, value: int, what: str, budget: int) -> None:
+    """Refuse a requested size below 1 (ValueError, a usage error) or above
+    ``budget`` (BudgetExceededError); callers run it before they allocate."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    if value > budget:
+        raise BudgetExceededError(what, value, budget)
+
+
+# Plain result records are NamedTuples; the classes whose constructors
+# validate use this base instead, as a tuple base would clash with
+# Decomposition.__len__.
+class FrozenRecord:
+    """==, hash, repr and no assignment, as a frozen dataclass over ``__slots__`` has them.
+
+    A subclass's ``__init__`` checks its input and stores each field once
+    with ``self._set(name, value)``.
+    """
+
+    __slots__ = ()
+    _set = object.__setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through the validating __init__
+        return self.__class__, self._values()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class SBParams(FrozenRecord):
@@ -96,8 +142,14 @@ class RecurrenceCache:
         return len(self._terms)
 
     def ensure_count(self, count: int) -> "RecurrenceCache":
+        """Grow to at least ``count`` terms.
+
+        Raises BudgetExceededError rather than grow past the budget.
+        """
         t = self._terms
         if len(t) < count:  # the one check when nothing is missing
+            if count > self._budget:
+                raise BudgetExceededError("sequence length", count, self._budget)
             step = self._step
             with _growth:
                 while len(t) < count:

@@ -29,8 +29,8 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, NamedTuple
 
-from .errors import BudgetExceededError, check_size
-from .generacci import Decomposition, RecurrenceCache, decompose
+from . import BudgetExceededError
+from .generacci import Decomposition, RecurrenceCache, check_size, decompose
 from .quilt import is_fq_legal, shared_cache
 
 #: Most rows the success functions hand out.  rho_n is a reduced fraction
@@ -95,25 +95,6 @@ def greedy6_decompose(m: int) -> Decomposition:
     if dec.indices[-2:] != _TAIL[0]:
         return dec
     return Decomposition(dec.indices[:-2] + _TAIL[1], dec.values[:-2] + tuple(map(cache.term, _TAIL[1])))
-
-
-def structure_conditions(dec: Decomposition) -> tuple[bool, bool]:
-    """The two mutually exclusive shapes a Greedy-6 result can take.
-
-    (1) every consecutive index gap is >= 5;
-    (2) gaps >= 5 down to a final exact (4, 2) tail, the index before the
-        tail being >= 10.  With only the tail present (t = 2) the prefix
-        constraints are vacuous.
-    """
-    idx = dec.indices
-    t = len(idx)
-    cond1 = all(idx[i] - idx[i + 1] >= 5 for i in range(t - 1))
-    cond2 = False
-    if idx[-2:] == _TAIL[1]:
-        prefix_ok = all(idx[i] - idx[i + 1] >= 5 for i in range(t - 3))
-        third_ok = t < 3 or idx[-3] >= 10
-        cond2 = prefix_ok and third_ok
-    return cond1, cond2
 
 
 def _rho_n(n: int) -> Fraction:
@@ -189,9 +170,10 @@ def normalize_to_greedy6(indices: Iterable[int]) -> MoveTrace:
     and added terms must have equal sums (the same as the whole multiset
     keeping its sum), and every step but the tail must strictly shrink the
     termination measure, which changes by the added tuple's measure minus
-    the removed pair's.  A failed check raises AssertionError.  Each step's
-    ``after`` tuple is its ``before`` tuple with the moved indices taken out
-    and put in, and is the next step's ``before``.
+    the removed pair's; and the run must end at ``greedy6_decompose`` of the
+    sum, which it returns.  A failed check raises AssertionError.  Each
+    step's ``after`` tuple is its ``before`` tuple with the moved indices
+    taken out and put in, and is the next step's ``before``.
 
     Inputs of more than NORMALIZE_PARTS_BUDGET parts, or with an index above
     NORMALIZE_INDEX_BUDGET, raise BudgetExceededError before any move runs.
@@ -259,4 +241,6 @@ def normalize_to_greedy6(indices: Iterable[int]) -> MoveTrace:
         steps.append(MoveStep(move, state, after))
         state = after
         k = bisect_right(rising, n + 6) - 1
-    return MoveTrace(steps, Decomposition(state, tuple(map(q.__getitem__, [i - 1 for i in state]))))
+    if state != normal.indices:
+        raise AssertionError(f"the moves ended at {state}, not the Greedy-6 form {normal.indices}")
+    return MoveTrace(steps, normal)

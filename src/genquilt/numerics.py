@@ -22,9 +22,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .errors import BudgetExceededError
-from .generacci import SBParams
-from .record import FrozenRecord
+from . import BudgetExceededError
+from .generacci import FrozenRecord, SBParams
 
 #: Default bracket width of dominant_root and generacci_char_analysis.
 DEFAULT_TOL = 1e-12

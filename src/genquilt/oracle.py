@@ -4,12 +4,13 @@ Everything here exists to be obviously correct rather than fast: sequences
 rebuilt from their literal definitions by scanning for the smallest
 non-representable integer, exhaustive legal-subset enumeration, a
 depth-first decomposition counter, a scan of plain greedy for its failures
-(which the success-table recurrence is checked against), a plain
-coin-change DP for minimal summand counts, and a Sylvester-matrix
-resultant.  Closed-form generators, counting recurrences and exact
-shortcuts are validated against these.  Both legality rules are stated
-here again, literally, apart from the library's automaton and bin scan;
-only plain greedy, in the failure scan, is shared.
+(which the success-table recurrence is checked against), the two shapes
+of the Greedy-6 structure theorem, a plain coin-change DP for minimal
+summand counts, and a Sylvester-matrix resultant.  Closed-form
+generators, counting recurrences and exact shortcuts are validated
+against these.  Both legality rules are stated here again, literally,
+apart from the library's automaton and bin scan; only plain greedy, in
+the failure scan, is shared.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Literal, NamedTuple
 
+from . import BudgetExceededError
 from . import generacci as g
 from . import quilt as q
-from .errors import BudgetExceededError, check_size
 from .greedy import greedy_decompose
 from .numerics import Polynomial
 
@@ -57,7 +58,7 @@ def definitional_sequence(kind: Kind, count: int) -> list[int]:
     first value with no legal decomposition over the terms so far (an
     exhaustive search, hence the budget).
     """
-    check_size("count", count, "definitional sequence length", DEFINITIONAL_BUDGET)
+    g.check_size("count", count, "definitional sequence length", DEFINITIONAL_BUDGET)
     terms: list[int] = []
 
     def representable(m: int) -> bool:
@@ -164,9 +165,28 @@ def greedy_failures(limit: int) -> list[int]:
     return [m for m in range(1, limit + 1) if not greedy_decompose(m).legal]
 
 
+def structure_conditions(dec: g.Decomposition) -> tuple[bool, bool]:
+    """The two mutually exclusive shapes a Greedy-6 result can take.
+
+    (1) every consecutive index gap is >= 5;
+    (2) gaps >= 5 down to a final exact (4, 2) tail, the index before the
+        tail being >= 10.  With only the tail present (t = 2) the prefix
+        constraints are vacuous.
+    """
+    idx = dec.indices
+    t = len(idx)
+    cond1 = all(idx[i] - idx[i + 1] >= 5 for i in range(t - 1))
+    cond2 = False
+    if idx[-2:] == (4, 2):
+        prefix_ok = all(idx[i] - idx[i + 1] >= 5 for i in range(t - 3))
+        third_ok = t < 3 or idx[-3] >= 10
+        cond2 = prefix_ok and third_ok
+    return cond1, cond2
+
+
 def min_summands_table(m_max: int) -> list[int]:
     """DP table t with t[m] = minimal number of quilt summands for m (t[0] = 0)."""
-    check_size("m_max", m_max, "min-summands DP size", MIN_SUMMANDS_BUDGET)
+    g.check_size("m_max", m_max, "min-summands DP size", MIN_SUMMANDS_BUDGET)
     cache = q.shared_cache()
     denoms = cache.terms(cache.index_of_largest_leq(m_max))
     big = m_max + 1

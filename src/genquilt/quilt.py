@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import check_size
-from .generacci import TERMS_BUDGET, RecurrenceCache
+from .generacci import TERMS_BUDGET, RecurrenceCache, check_size
 
 #: Index differences that make a pair of summands illegal.
 FORBIDDEN_DIFFS = frozenset({1, 3, 4})

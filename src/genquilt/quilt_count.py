@@ -93,8 +93,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import check_size
-from .generacci import RecurrenceCache
+from .generacci import RecurrenceCache, check_size
 from .quilt import SKIP, TAKE, TAKE_AT_1, shared_cache
 
 AVERAGE_BUDGET = 30

@@ -17,8 +17,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import check_size
-from .generacci import SBParams, generate
+from .generacci import SBParams, check_size, generate
 
 DISTRIBUTION_BUDGET = 500
 

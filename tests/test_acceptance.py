@@ -13,18 +13,13 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from genquilt.cli import main as cli_main
+from genquilt.cli import percent_string
 from genquilt.generacci import SBParams, decompose, generate, is_legal_sb
-from genquilt.greedy import (
-    greedy6_decompose,
-    normalize_to_greedy6,
-    structure_conditions,
-    success_table,
-)
+from genquilt.greedy import greedy6_decompose, normalize_to_greedy6, success_table
 from genquilt.numerics import count_char, dominant_root, dominant_root_bracket, fit_leading_constant, quilt_char
-from genquilt.oracle import enumerate_legal, greedy_failures, min_summands_table
+from genquilt.oracle import enumerate_legal, greedy_failures, min_summands_table, structure_conditions
 from genquilt.quilt import is_fq_legal, quilt_terms
 from genquilt.quilt_count import average_decompositions, count_decompositions, count_tables
-from genquilt.rendering import percent_string
 from genquilt.stats import gaussian_fit, ks_normal_distance, summand_distribution
 
 EXPECTED_PREFIX = [1, 2, 3, 4, 5, 7, 9, 12, 16, 21, 28, 37, 49, 65, 86, 114, 151, 200, 265, 351, 465]

@@ -23,8 +23,10 @@ from genquilt.greedy import (
     SUCCESS_TABLE_BUDGET,
     greedy6_decompose,
 )
+from genquilt.numerics import ROOT_DEGREE_BUDGET
 from genquilt.quilt import quilt_terms
 from genquilt.quilt_count import AVERAGE_BUDGET, COUNT_TABLES_BUDGET
+from genquilt.stats import DISTRIBUTION_BUDGET
 from test_readme_golden import readme_commands
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -292,6 +294,11 @@ def _argvs(verb: str, *targets: str, **flags):
 
 
 _SB_EDGES = _edges(SEED_BUDGET, SEED_BUDGET + 1)
+# s = ROOT_DEGREE_BUDGET puts the degree s + 1 one over its budget; the root
+# at the budget, s = 255, takes about 5 s, so it is left out
+_ROOT_SB_EDGES = _edges(ROOT_DEGREE_BUDGET, SEED_BUDGET - 1, SEED_BUDGET, SEED_BUDGET + 1)
+_TOL_EDGES = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "5e-324", "0.5", "1e-12"])
+_N_EDGES = _edges(6, DISTRIBUTION_BUDGET, DISTRIBUTION_BUDGET + 1)
 # seq at TERMS_BUDGET renders for seconds, so its count stops at budget + 1
 _COUNT_EDGES = _edges(TERMS_BUDGET + 1)
 _VERB_ARGVS = st.one_of(
@@ -308,13 +315,18 @@ _VERB_ARGVS = st.one_of(
     ),
     _argvs("average", "quilt", n=_edges(AVERAGE_BUDGET, AVERAGE_BUDGET + 1)),
     _argvs("greedy", "ratio", n=_edges(SUCCESS_TABLE_BUDGET, SUCCESS_TABLE_BUDGET + 1)),
+    _argvs(
+        "roots", "quilt", "generacci", "quilt-count", "greedy-aux", tol=_TOL_EDGES, s=_ROOT_SB_EDGES, b=_ROOT_SB_EDGES
+    ),
+    _argvs("stats", "generacci", n_min=_N_EDGES, n_max=_N_EDGES, s=_ROOT_SB_EDGES, b=_ROOT_SB_EDGES),
 )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(_VERB_ARGVS)
 def test_verb_exit_contract(argv):
-    # the normalize contract for the verbs that size their work by a flag
+    # the normalize contract for every other verb, each sized by its flags;
+    # a root printed for a --tol also keeps within it
     code, out, err = _main_in_process(*argv)
     assert code in (0, 2, 3), (code, err)
     assert "Traceback" not in err
@@ -322,6 +334,9 @@ def test_verb_exit_contract(argv):
         assert out == ""
         return
     assert _main_in_process(*argv) == (0, out, err)
+    if argv[0] == "roots":
+        record = json.loads(out)
+        assert float(record["rows"][0]["error_bound"]) <= float(record["params"]["tol"])
 
 
 @pytest.mark.parametrize(
@@ -397,8 +412,8 @@ def test_refused_sb_params_are_usage_errors(capsys, command):
     assert captured.err.endswith(f"genquilt {verb}: error: s and b must be >= 1, got (0, 1)\n")
 
 
-# The genquilt modules each README command loads besides the package, cli,
-# errors, generacci and record: its target's modules and their imports.
+# The genquilt modules each README command loads besides the package, cli
+# and generacci: its target's modules and their imports.
 VERB_MODULES = {
     "seq quilt --count 21": ("quilt",),
     "seq generacci --s 1 --b 2 --count 10": (),
@@ -407,13 +422,13 @@ VERB_MODULES = {
     "decompose generacci --s 1 --b 2 --m 10": (),
     "count quilt --m 106": ("quilt", "quilt_count"),
     "tables quilt-count --n 13": ("quilt", "quilt_count"),
-    "tables greedy-success --n 17": ("greedy", "quilt", "rendering"),
-    "average quilt --n 25": ("quilt", "quilt_count", "rendering"),
+    "tables greedy-success --n 17": ("greedy", "quilt"),
+    "average quilt --n 25": ("quilt", "quilt_count"),
     "roots quilt --tol 1e-12": ("numerics", "quilt"),
     "roots generacci --s 2 --b 1": ("numerics",),
     "roots quilt-count": ("numerics", "quilt", "quilt_count"),
     "roots greedy-aux": ("greedy", "numerics", "quilt"),
-    "greedy ratio --n 100": ("greedy", "quilt", "rendering"),
+    "greedy ratio --n 100": ("greedy", "quilt"),
     "stats generacci --s 1 --b 2 --n-min 15 --n-max 25": ("stats",),
     "normalize quilt --indices 7,7": ("greedy", "quilt"),
 }
@@ -464,9 +479,9 @@ class TestHarness:
         assert proc.stdout == b"[]\n"
 
     def test_package_root_loads_no_submodules(self):
-        # Names are imported from their modules, so the package root loads
-        # only what its one export needs, and a program importing two
-        # modules pays for those two and their own imports.
+        # Names are imported from their modules, so the package root, which
+        # defines its one export, loads no submodule, and a program importing
+        # two modules pays for those two and their own imports.
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         heavy = ("genquilt.greedy", "genquilt.numerics", "genquilt.quilt_count", "genquilt.stats")
         code = (
@@ -482,7 +497,7 @@ class TestHarness:
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr.decode()
-        assert proc.stdout == b"['genquilt', 'genquilt.errors']\n[]\n"
+        assert proc.stdout == b"['genquilt']\n[]\n"
 
     @pytest.mark.parametrize("command", [*sorted(VERB_MODULES), "--help", "count --help"])
     def test_each_verb_loads_only_its_modules(self, command):
@@ -510,9 +525,9 @@ class TestHarness:
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr.decode()
-        loaded = ["genquilt", "genquilt.cli", "genquilt.errors"]
+        loaded = ["genquilt", "genquilt.cli"]
         if command in VERB_MODULES:
-            loaded += [f"genquilt.{name}" for name in ("generacci", "record", *VERB_MODULES[command])]
+            loaded += [f"genquilt.{name}" for name in ("generacci", *VERB_MODULES[command])]
         assert proc.stdout.decode() == f"0 {sorted(loaded)} False\n"
 
     def test_verb_modules_cover_the_readme(self):

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genquilt.errors import BudgetExceededError
+from genquilt import BudgetExceededError
 from genquilt.generacci import (
     SEED_BUDGET,
     TERMS_BUDGET,
     Decomposition,
+    RecurrenceCache,
     SBParams,
     bin_of,
     decompose,
@@ -212,6 +213,25 @@ class TestDecompose:
         dec = decompose(generate(params, 1), m)
         assert dec.total == m
         assert is_legal_sb(params, dec.indices)
+
+
+def test_count_past_the_budget_is_refused_before_growing():
+    # A constant step is cheap, so the cache can be filled to its budget:
+    # TERMS_BUDGET terms past its one seed.
+    cache = RecurrenceCache((1,), lambda t: t[-1])
+    for grow, count in ((cache.term, TERMS_BUDGET + 1000), (cache.terms, 3 * TERMS_BUDGET)):
+        with pytest.raises(BudgetExceededError, match=f"sequence length: requested {count}, budget is {TERMS_BUDGET}"):
+            grow(count)
+        assert len(cache) == 1
+    assert cache.terms(TERMS_BUDGET) == [1] * TERMS_BUDGET
+    with pytest.raises(BudgetExceededError):
+        cache.ensure_count(TERMS_BUDGET + 1)
+    assert len(cache) == TERMS_BUDGET
+    quilt = shared_cache()
+    before = len(quilt)
+    with pytest.raises(BudgetExceededError):
+        quilt.term(TERMS_BUDGET + 100)
+    assert len(quilt) == before
 
 
 # The caches the identity property runs on: the quilt and six (s,b) systems.

@@ -11,21 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genquilt import greedy
-from genquilt.errors import BudgetExceededError
+from genquilt import BudgetExceededError, greedy
+from genquilt.cli import percent_string
 from genquilt.generacci import Decomposition
 from genquilt.greedy import (
     NORMALIZE_INDEX_BUDGET,
     greedy6_decompose,
     greedy_decompose,
     normalize_to_greedy6,
-    structure_conditions,
     success_row,
     success_table,
 )
-from genquilt.oracle import MIN_SUMMANDS_BUDGET, greedy_failures, min_summands_table
+from genquilt.oracle import MIN_SUMMANDS_BUDGET, greedy_failures, min_summands_table, structure_conditions
 from genquilt.quilt import is_fq_legal, quilt_terms, shared_cache
-from genquilt.rendering import percent_string
 
 FAILURES_UNDER_200 = [6, 27, 34, 43, 55, 71, 92, 113, 120, 141, 148, 157, 178, 185, 194]
 
@@ -514,6 +512,13 @@ class TestChecksAreReal:
 
         monkeypatch.setattr(greedy, "_pair_greedy", identity_first)
         with pytest.raises(AssertionError, match="did not shrink the measure"):
+            normalize_to_greedy6([7, 7])
+
+    def test_wrong_final_form_is_caught(self, monkeypatch):
+        # 2 q_7 = 18 = q_9 + q_2, where the moves end; q_8 + q_5 + q_1 has the
+        # same sum, so only the comparison with the final form can catch it
+        monkeypatch.setattr(greedy, "greedy6_decompose", lambda m: Decomposition((8, 5, 1), (12, 5, 1)))
+        with pytest.raises(AssertionError, match="not the Greedy-6 form"):
             normalize_to_greedy6([7, 7])
 
 

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from genquilt.errors import BudgetExceededError
+from genquilt import BudgetExceededError
 from genquilt.generacci import SBParams, generate, is_legal_sb
 from genquilt.oracle import (
     DFS_COUNT_BUDGET,

@@ -24,8 +24,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # and after them.
 _CALLS = """
 import json, sys
-from genquilt import greedy, quilt_count
-from genquilt.errors import BudgetExceededError
+from genquilt import BudgetExceededError, greedy, quilt_count
 
 def lengths():
     return [len(greedy._h), len(greedy._rho), *map(len, (quilt_count._d, quilt_count._c))]
@@ -240,8 +239,7 @@ def test_threads_growing_the_columns_never_tear_them():
 # closed-form total with the recurrence's a_{bn+1}.
 _SB_CALLS = """
 import json, sys
-from genquilt import generacci, stats
-from genquilt.errors import BudgetExceededError
+from genquilt import BudgetExceededError, generacci, stats
 from genquilt.generacci import SBParams, TERMS_BUDGET, generate
 
 for arg in sys.argv[1:]:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from genquilt.errors import BudgetExceededError
+from genquilt import BudgetExceededError
 from genquilt.numerics import count_char, dominant_root
 from genquilt.oracle import count_decompositions_dfs, enumerate_legal
 from genquilt.quilt import is_fq_legal, quilt_terms

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from genquilt.rendering import decimal_string, percent_string
+from genquilt.cli import decimal_string, percent_string
 
 
 def test_basic_places():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genquilt.errors import BudgetExceededError
+from genquilt import BudgetExceededError
 from genquilt.generacci import SBParams, decompose, generate
 from genquilt.stats import (
     gaussian_fit,
