@@ -104,12 +104,15 @@ def gaussian_fit(params: SBParams, n_min: int, n_max: int) -> GaussianFit:
     """Fit mean and variance linearly in n over [n_min, n_max].
 
     The KS distance is evaluated at n_max on the exactly standardized
-    distribution.  Both ends are checked before any distribution is built.
+    distribution.  Both ends, and the b*n_max + 1 sequence terms the last
+    distribution checks its total against, are checked before any
+    distribution is built.
     """
     if n_max - n_min < 5:
         raise ValueError(f"need n_max - n_min >= 5, got [{n_min}, {n_max}]")
     for n in (n_min, n_max):
         check_size("n", n, "distribution bin count", DISTRIBUTION_BUDGET)
+    generate(params, params.b * n_max + 1)
     ns = list(range(n_min, n_max + 1))
     dists = [summand_distribution(params, n) for n in ns]
     a_hat, b_hat = _linear_fit([float(n) for n in ns], [float(d.mean) for d in dists])

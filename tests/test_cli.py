@@ -391,6 +391,17 @@ SB1 = "generacci --s 1 --b 1"
             3,
             "budget exceeded: distribution bin count: requested 501, budget is 500",
         ),
+        # the (s,b) sequence length b*n_max + 1, refused before any distribution
+        (
+            "stats generacci --s 1 --b 100 --n-min 1 --n-max 500",
+            3,
+            "budget exceeded: sequence length: requested 50001, budget is 50000",
+        ),
+        (
+            "stats generacci --s 1 --b 256 --n-min 1 --n-max 500",
+            3,
+            "budget exceeded: sequence length: requested 128001, budget is 50000",
+        ),
     ],
 )
 def test_refused_size_exit_code_and_message(capsys, command, code, message):

@@ -1,14 +1,21 @@
 """Root isolation, polynomial identities, and leading-constant fits."""
 
+from bisect import bisect_left
 import hashlib
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genquilt import numerics
 from genquilt.generacci import SBParams, generate
 from genquilt.numerics import (
     Polynomial,
@@ -27,6 +34,7 @@ from genquilt.numerics import (
 from genquilt.oracle import resultant
 
 GOLDEN = (1 + math.sqrt(5)) / 2
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def count_char_full() -> Polynomial:
@@ -227,8 +235,13 @@ def test_error_bound_is_the_exact_width_rounded_up(tol):
             check(generacci_char_analysis(params, tol).error_bound, (hi - lo) / b)
 
 
-def _fraction_bisection(p, tol):
-    """Reference bracket: the earlier bisection, Horner on ``Fraction`` at every step."""
+def _fraction_bisection(p, tol, halvings=None):
+    """Reference bracket: the earlier bisection, Horner on ``Fraction`` at every step.
+
+    ``halvings``, if given, collects every bracket it passes through, the
+    answer last unless a midpoint is the root.
+    """
+    halvings = [] if halvings is None else halvings
     tol = Fraction(tol)
     scan_bound = 2 + max(abs(c) for c in p.coeffs[:-1]) // abs(p.coeffs[-1])
 
@@ -246,6 +259,7 @@ def _fraction_bisection(p, tol):
         lo, x = x, x + 1
         assert x <= scan_bound + 1
     hi = x
+    halvings.append((lo, hi))
     while hi - lo > tol:
         mid = (lo + hi) / 2
         s_mid = sign_at(mid)
@@ -255,6 +269,7 @@ def _fraction_bisection(p, tol):
             lo = mid
         else:
             hi = mid
+        halvings.append((lo, hi))
     return lo, hi
 
 
@@ -515,3 +530,132 @@ class TestLeadingConstantFit:
         fit = fit_leading_constant(terms, lam, stride=2)
         assert fit.value > 0
         assert fit.residual < 1e-8
+
+
+# Every tolerance of the order test: 1e-1 .. 1e-80, the smallest double and
+# exact fractions, dyadic and not.
+ORDER_TOLS = (
+    *(float(f"1e-{k}") for k in range(1, 81)),
+    5e-324,
+    Fraction(1, 3),
+    Fraction(1, 2**40),
+    Fraction(1, 10**30),
+    Fraction(2, 7 * 10**45),
+)
+ORDER_POLYS = (
+    quilt_char(),
+    count_char(),
+    greedy_aux_char(),
+    # (x - 1)(x^2 - x - 1): p(1) = 0 and the root is below 2, so the grid
+    # starts at 1 + tol, and no cell may be kept
+    monomial_poly((3, 1), (2, -2), (0, 1)),
+    *(generacci_aux(SBParams(s, b)) for s in (1, 2, 3) for b in (1, 2, 3)),
+    *EDGE_POLYS,
+)
+ORDER_PARAMS = tuple(SBParams(s, b) for s in (1, 2, 3) for b in (1, 2, 3))
+
+
+def _bisection_brackets(p, tols):
+    """``{tol: _fraction_bisection(p, tol)}``, read off the finest tolerance's
+    halvings wherever the bisection's start and end do not depend on tol."""
+    halvings = []
+    _fraction_bisection(p, min(tols, key=Fraction), halvings)
+    brackets = {}
+    for tol in tols:
+        # the first bracket no wider than tol, or the end of the list
+        i = bisect_left(halvings, -Fraction(tol), key=lambda b: b[0] - b[1])
+        if p(1) == 0 or i == len(halvings):  # a start at 1 + tol, or a midpoint root
+            brackets[tol] = _fraction_bisection(p, tol)
+        else:
+            brackets[tol] = halvings[i]
+    return brackets
+
+
+def _fresh_report(call, arg, tol):
+    numerics._record.cache_clear()
+    return call(arg, tol)
+
+
+@pytest.fixture(scope="module")
+def order_references():
+    brackets = {(p, tol): b for p in ORDER_POLYS for tol, b in _bisection_brackets(p, ORDER_TOLS).items()}
+    reports = {(p, tol): _fresh_report(dominant_root, p, tol) for p in ORDER_POLYS for tol in ORDER_TOLS}
+    for sb in ORDER_PARAMS:
+        reports.update({(sb, tol): _fresh_report(generacci_char_analysis, sb, tol) for tol in ORDER_TOLS})
+    return brackets, reports
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_results_do_not_depend_on_the_order_of_requests(order, order_references):
+    # Each polynomial's record keeps its deepest cell, and a coarser request
+    # shifts it.  Whatever came before, a bracket is the bisection's and a
+    # report the one a cleared record gives.
+    want_brackets, want_reports = order_references
+    calls = list(want_reports)
+    calls.sort(key=lambda call: Fraction(call[1]), reverse=order == "ascending")  # ascending tol: coarse first
+    if order == "shuffled":
+        random.Random(29).shuffle(calls)
+    numerics._record.cache_clear()
+    for arg, tol in calls:
+        if isinstance(arg, SBParams):
+            assert generacci_char_analysis(arg, tol) == want_reports[arg, tol], (arg, tol)
+        else:
+            assert dominant_root_bracket(arg, tol) == want_brackets[arg, tol], (arg, tol)
+            assert dominant_root(arg, tol) == want_reports[arg, tol], (arg, tol)
+
+
+# Eight threads ask for reports on shared polynomials at mixed tolerances,
+# with the interpreter switching threads every microsecond; a thread that
+# loses a race may leave a shallower cell, but every report must equal the
+# one a single thread with a cleared record gives.
+_THREADED = """
+import random, sys, threading
+from genquilt import numerics
+from genquilt.generacci import SBParams
+
+sys.setswitchinterval(1e-6)
+polys = [numerics.quilt_char(), numerics.count_char(), numerics.greedy_aux_char()]
+params = [SBParams(s, b) for s in (1, 2, 3) for b in (1, 2)]
+tols = [float(f"1e-{k}") for k in (1, 4, 9, 12, 16, 17, 25, 33, 40, 60, 80)] + [5e-324]
+seen, failed = [], []
+
+def work(seed):
+    rng = random.Random(seed)
+    try:
+        for _ in range(60):
+            tol = rng.choice(tols)
+            if rng.random() < 0.5:
+                p = rng.choice(polys)
+                seen.append((numerics.dominant_root, p, tol, numerics.dominant_root(p, tol)))
+            else:
+                sb = rng.choice(params)
+                seen.append((numerics.generacci_char_analysis, sb, tol, numerics.generacci_char_analysis(sb, tol)))
+    except BaseException as exc:
+        failed.append(exc)
+
+threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+assert not any(t.is_alive() for t in threads) and not failed, failed
+sys.setswitchinterval(0.005)
+want = {}
+for call, arg, tol, report in seen:
+    if (call, arg, tol) not in want:
+        numerics._record.cache_clear()
+        want[call, arg, tol] = call(arg, tol)
+    assert report == want[call, arg, tol], (arg, tol, report)
+"""
+
+
+def test_threads_sharing_the_root_records_get_single_threaded_reports():
+    for _ in range(3):
+        result = subprocess.run(
+            [sys.executable, "-c", _THREADED],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))},
+        )
+        assert result.returncode == 0, result.stderr
