@@ -3,18 +3,16 @@
 Polynomials carry exact integer coefficients.  The dominant positive root
 is isolated by a sign-change scan, and its bracket is the cell that exact
 bisection would reach, found in O(log k) exact evaluations for k bits by
-Newton steps at doubling precision that integer sign checks certify.  The
-certificate is the opposite signs of p at the ends of the deepest cell
-found: one bounded process-wide record per coefficient tuple keeps that
-cell, when Descartes' rule of signs proves the scan's cell holds p's only
-positive root, so a coarser tolerance reads its cell off by a shift and a
-finer one resumes from it.  One safeguarded Newton loop in doubles both
-seeds that search and polishes the root inside the bracket.  The other
-roots come from one Durand-Kerner iteration in double precision, seeded
-evenly on the circle of the Fujiwara bound, run once per record.  One
-report path serves both families: a polynomial's own root, and the (s,b)
-rate r^{1/b}, whose r is the polished root of the bin-level polynomial and
-whose error bound comes from r's exact bracket.  Leading-constant fits are
+Newton steps at doubling precision that integer sign checks certify (the
+bracket is a certificate).  The search keeps nothing between calls.  One
+safeguarded Newton loop in doubles both seeds that search and polishes the
+root inside the bracket.  The other roots come from one Durand-Kerner
+iteration in double precision, seeded evenly on the circle of the Fujiwara
+bound.  One report path serves both families: a polynomial's own root, and
+the (s,b) rate r^{1/b}, whose r is the polished root of the bin-level
+polynomial and whose error bound comes from r's exact bracket.  A report
+is a pure function of the coefficients, the exact tolerance and b, so one
+bounded process-wide memo keeps the last 1024.  Leading-constant fits are
 exact integer ratios rounded once, so nothing depends on a working
 precision.
 """
@@ -151,146 +149,87 @@ def dominant_root_bracket(p: Polynomial, tol: Fraction | float) -> tuple[Fractio
     integer Newton step from the certified cell's midpoint the next one, and
     sign checks certify each proposal by galloping to the sign change and
     bisecting the gallop window.  A grid point that is the root returns
-    root -/+ tol/2; a root at H stays as hi.
-
-    The certificate is the opposite signs of p at the ends of the deepest
-    cell found for p in this process.  That cell is kept when Descartes'
-    rule of signs proves p has one positive root (one sign change among the
-    nonzero coefficients), so [L, H] holds it and each level's cell is the
-    same whatever the path to it: a coarser level's cell is the kept one
-    shifted right, and a finer one resumes the levels from it.  A grid
-    starting from p(1) = 0 would depend on tol, but then p's one positive
-    root is 1 and the scan fails; a grid-point root returns before anything
-    is kept.
+    root -/+ tol/2; a root at H stays as hi.  The end-point signs are the
+    proof.  Each call searches afresh and keeps nothing; the reports built
+    on a bracket are what the process remembers (``_report``).
     """
-    lo, hi, den, _ = _bracket(_record(p.coeffs), _exact_tol(tol))
-    return Fraction(lo, den), Fraction(hi, den)
+    tol = _exact_tol(tol)
+    lead = p.coeffs[-1]
+    scan_bound = 2 + max(abs(c) for c in p.coeffs[:-1]) // abs(lead)
 
+    def sign_at(num: int, den: int) -> int:
+        # den^d * p(num/den) by Horner in integers; den > 0 keeps the sign of p
+        acc, scale = 0, 1
+        for c in reversed(p.coeffs):
+            acc = acc * num + c * scale
+            scale *= den
+        return (acc > 0) - (acc < 0)
 
-class _Record:
-    """What the process has learned about one polynomial's roots.
+    lo = Fraction(1)
+    s_lo = sign_at(1, 1)
+    if s_lo == 0:  # root exactly at 1 is out of scope (dominant root > 1)
+        lo += min(tol, Fraction(1, 1024))
+        s_lo = sign_at(lo.numerator, lo.denominator)
+    for x in range(2, scan_bound + 2):
+        if sign_at(x, 1) != s_lo:
+            break
+        lo = Fraction(x)
+    else:
+        raise ValueError(f"no dominant root: no sign change on (1, {scan_bound}] for {p}")
+    a, den = lo.numerator, lo.denominator
+    w = x * den - a  # the grid's point i at level K is L + (H - L) * i / 2^K
 
-    ``scan`` is (sign at L, L's numerator and denominator, w = H - L over
-    that denominator, the double seed) and ``deepest`` the deepest certified
-    cell (index, level) on its grid, both kept only when ``single``: one
-    sign change, so one positive root.  ``polished`` maps the double ends
-    of a kept cell to the polished root and the secondary modulus, and
-    ``roots`` holds the Durand-Kerner roots once a run has converged.  A
-    field is replaced whole, so a thread reads its old value or its new
-    one; a thread that loses a race may leave a shallower cell, which is
-    still certified.
-    """
-
-    __slots__ = ("p", "dp", "single", "scan", "deepest", "polished", "roots")
-
-    def __init__(self, p: Polynomial) -> None:
-        self.p = p
-        self.dp = p.derivative() if p.degree else None
-        signs = [c > 0 for c in p.coeffs if c]
-        self.single = sum(x != y for x, y in zip(signs, signs[1:])) == 1
-        self.scan = self.roots = None
-        self.deepest = (0, 0)
-        self.polished = {}
-
-
-@lru_cache(maxsize=64)
-def _record(coeffs: tuple[int, ...]) -> _Record:
-    """The bounded process-wide record of the polynomial with ``coeffs``."""
-    return _Record(Polynomial(coeffs))
-
-
-def _sign_at(coeffs: tuple[int, ...], num: int, den: int) -> int:
-    """The sign of p(num/den): den^d * p(num/den) by Horner in integers, as den > 0."""
-    acc, scale = 0, 1
-    for c in reversed(coeffs):
-        acc = acc * num + c * scale
-        scale *= den
-    return (acc > 0) - (acc < 0)
-
-
-def _bracket(rec: _Record, tol: Fraction) -> tuple[int, int, int, bool]:
-    """``dominant_root_bracket(rec.p, tol)`` as the numerators of lo and hi
-    over one denominator, and whether it is a cell of the kept grid."""
-    p = rec.p
-    coeffs = p.coeffs
-    scan = rec.scan
-    if scan is None:
-        scan_bound = 2 + max(abs(c) for c in coeffs[:-1]) // abs(coeffs[-1])
-        lo = Fraction(1)
-        s_lo = _sign_at(coeffs, 1, 1)
-        if s_lo == 0:  # root exactly at 1 is out of scope (dominant root > 1)
-            lo += min(tol, Fraction(1, 1024))
-            s_lo = _sign_at(coeffs, lo.numerator, lo.denominator)
-        for x in range(2, scan_bound + 2):
-            if _sign_at(coeffs, x, 1) != s_lo:
-                break
-            lo = Fraction(x)
-        else:
-            raise ValueError(f"no dominant root: no sign change on (1, {scan_bound}] for {p}")
-        a, den = lo.numerator, lo.denominator
-        scan = s_lo, a, den, x * den - a, _float_root(p, rec.dp, float(lo), float(x))
-        if rec.single:
-            rec.scan = scan
-    s_lo, a, den, w, seed = scan
-
-    def point(i: int, level: int) -> tuple[int, int]:  # L + (H - L) * i / 2^level
+    def point(i: int, level: int) -> tuple[int, int]:
         return (a << level) + i * w, den << level
 
     # k = ceil(log2((H - L) / tol)), or 0
     need, have = w * tol.denominator, tol.numerator * den
     k = max(0, need.bit_length() - have.bit_length())
     k += need > have << k
-    cell, at = rec.deepest if rec.single else (0, 0)  # the certified cell [cell, cell + 1] at level ``at``
-    if k <= at:
-        cell >>= at - k
-    else:
-        levels = [k]
-        while levels[-1] > _FIRST_LEVEL:
-            levels.append((levels[-1] + _GUARD_BITS + 1) // 2)
-        for level in reversed(levels):
-            if level <= at:
-                continue
-            low, high = cell << (level - at), (cell + 1) << (level - at)
-            if not at:
-                probe = -1 if seed is None else int((seed - a / den) / (w / den) * 2.0**level)
-            else:  # one exact Newton step t = mid - p/p' from the cell's midpoint
-                num, mid_den = point(2 * cell + 1, at + 1)
-                acc = slope = 0
-                scale = 1
-                for c in reversed(coeffs):
-                    slope = slope * num + acc
-                    acc = acc * num + c * scale
-                    scale *= mid_den
-                # t's coordinate on the grid of ``level``, with q = mid_den^(d-1) p'(mid) w
-                q = slope * w
-                probe = (((2 * cell + 1) * q - acc) << (level - at - 1)) // q if q else -1
-            step = 1
-            while high - low > 1:  # gallop from the probe, then bisect the window
-                if not low < probe < high:
-                    probe = (low + high) // 2
-                num, root_den = point(probe, level)
-                s_probe = _sign_at(coeffs, num, root_den)
-                if s_probe == 0:  # root -/+ tol/2
-                    half_num, half_den = tol.numerator * root_den, 2 * tol.denominator
-                    return num * half_den - half_num, num * half_den + half_num, root_den * half_den, False
-                if s_probe == s_lo:
-                    low, probe = probe, probe + step
-                else:
-                    high, probe = probe, probe - step
-                step *= 2
-            cell, at = low, level
-        if rec.single and k > rec.deepest[1]:
-            rec.deepest = cell, k
-    lo = (a << k) + cell * w
-    return lo, lo + w, den << k, rec.single
+    levels = [k]
+    while levels[-1] > _FIRST_LEVEL:
+        levels.append((levels[-1] + _GUARD_BITS + 1) // 2)
+    seed = _float_root(p, float(lo), float(x))
+    cell, at = 0, 0  # the certified cell [cell, cell + 1] at level ``at``
+    for level in reversed(levels):
+        low, high = cell << (level - at), (cell + 1) << (level - at)
+        if not at:
+            probe = -1 if seed is None else int((seed - lo) / (x - lo) * 2.0**level)
+        else:  # one exact Newton step t = mid - p/p' from the cell's midpoint
+            num, mid_den = point(2 * cell + 1, at + 1)
+            acc = slope = 0
+            scale = 1
+            for c in reversed(p.coeffs):
+                slope = slope * num + acc
+                acc = acc * num + c * scale
+                scale *= mid_den
+            # t's coordinate on the grid of ``level``, with q = mid_den^(d-1) p'(mid) w
+            q = slope * w
+            probe = (((2 * cell + 1) * q - acc) << (level - at - 1)) // q if q else -1
+        step = 1
+        while high - low > 1:  # gallop from the probe, then bisect the window
+            if not low < probe < high:
+                probe = (low + high) // 2
+            s_probe = sign_at(*point(probe, level))
+            if s_probe == 0:
+                root, half = Fraction(*point(probe, level)), tol / 2
+                return root - half, root + half
+            if s_probe == s_lo:
+                low, probe = probe, probe + step
+            else:
+                high, probe = probe, probe - step
+            step *= 2
+        cell, at = low, level
+    return Fraction(*point(cell, k)), Fraction(*point(cell + 1, k))
 
 
-def _float_root(p: Polynomial, dp: Polynomial, a: float, b: float) -> float | None:
-    """A double near the sign change in [a, b], or None on overflow or NaN; ``dp`` is p'.
+def _float_root(p: Polynomial, a: float, b: float) -> float | None:
+    """A double near the sign change in [a, b], or None on overflow or NaN.
 
     Newton steps, with a bisection whenever a step leaves the bracket or is
     not half the one before last (the safeguard of Numerical Recipes' rtsafe).
     """
+    dp = p.derivative()
     try:
         rising = p(a) < 0
         x, step, last = (a + b) / 2, b - a, b - a
@@ -321,21 +260,16 @@ def complex_roots(p: Polynomial) -> list[complex]:
     The seeds sit evenly on the circle of the Fujiwara bound, which encloses
     every root.  A run that does not settle within its step cap, or leaves
     the finite floats, raises ``ArithmeticError`` rather than return
-    meaningless roots.  The roots depend only on the coefficients, so the
-    polynomial's process-wide record keeps a run that converged; each call
-    gets a new list.
+    meaningless roots.  The roots depend only on the coefficients, so a
+    bounded process-wide memo keeps the last 64 runs that converged; each
+    call gets a new list.
     """
-    return list(_roots(_record(p.coeffs)))
+    return list(_durand_kerner(p.coeffs))
 
 
-def _roots(rec: _Record) -> tuple[complex, ...]:
-    roots = rec.roots
-    if roots is None:
-        roots = rec.roots = _durand_kerner(rec.p)
-    return roots
-
-
-def _durand_kerner(p: Polynomial) -> tuple[complex, ...]:
+@lru_cache(maxsize=64)
+def _durand_kerner(coeffs: tuple[int, ...]) -> tuple[complex, ...]:
+    p = Polynomial(coeffs)
     n = p.degree
     lead = p.coeffs[-1]
     radius = 2 * max(abs(p.coeffs[n - k] / lead) ** (1 / k) for k in range(1, n + 1))
@@ -357,8 +291,9 @@ def _durand_kerner(p: Polynomial) -> tuple[complex, ...]:
     raise ArithmeticError(f"roots of {p} did not converge")
 
 
-def _report(p: Polynomial, tol: Fraction, b: int) -> RootReport:
-    """The unique positive root y > 1 of ``p`` as lambda = y^{1/b}, with its bounds.
+@lru_cache(maxsize=1024)
+def _report(coeffs: tuple[int, ...], tol: Fraction, b: int) -> RootReport:
+    """The unique positive root y > 1 of p as lambda = y^{1/b}, with its bounds.
 
     The one report path of both families: b = 1 for ``dominant_root``, and
     b for the (s,b) bin-level polynomial, where y = x^b.  The caller asserts
@@ -369,30 +304,25 @@ def _report(p: Polynomial, tol: Fraction, b: int) -> RootReport:
     slope at most 1/b, so ``error_bound`` is the bracket's width divided by
     b, rounded up to a double: never below it, and never 0.  The float
     root's own error can exceed it when ``tol`` is below about 1e-16.  The
-    secondary modulus is the largest among the other roots of ``p``, each
-    taken to the power 1/b.  The polished root and the secondary modulus
-    depend only on p and the bracket's double ends, so a kept cell's pair
-    is worked out once per process.
+    secondary modulus is the largest among the other roots of p, each
+    taken to the power 1/b.
+
+    p is the polynomial with ``coeffs``.  The report depends on nothing but
+    the arguments, so a bounded process-wide memo keeps the last 1024: a
+    repeated request costs one lookup, and a report that raises is not kept.
     """
-    rec = _record(p.coeffs)
-    lo, hi, den, kept = _bracket(rec, tol)
-    assert lo >= den
-    ends = lo / den, hi / den
-    polished = rec.polished.get(ends)
-    if polished is None:
-        y = _float_root(p, rec.dp, *ends)
-        if y is None:  # the midpoint depends on more than the double ends
-            y, kept = (lo + hi) / (2 * den), False
-        rest = sorted(_roots(rec), key=lambda z: abs(z - y))[1:]
-        polished = y, max((abs(z) for z in rest), default=0.0)
-        if kept:
-            rec.polished[ends] = polished
-    y, secondary = polished
-    width, den = hi - lo, den * b
-    bound = width / den
-    num, bound_den = bound.as_integer_ratio()
-    if num * den < width * bound_den:
+    p = Polynomial(coeffs)
+    lo, hi = dominant_root_bracket(p, tol)
+    assert lo >= 1
+    y = _float_root(p, float(lo), float(hi))
+    if y is None:
+        y = float((lo + hi) / 2)
+    width = (hi - lo) / b
+    bound = float(width)
+    if bound < width:
         bound = math.nextafter(bound, math.inf)
+    rest = sorted(complex_roots(p), key=lambda z: abs(z - y))[1:]
+    secondary = max((abs(z) for z in rest), default=0.0)
     return RootReport(y ** (1 / b), bound, secondary ** (1 / b))
 
 
@@ -403,7 +333,7 @@ def dominant_root(p: Polynomial, tol: float = DEFAULT_TOL) -> RootReport:
     """
     if p.degree < 1:
         raise ValueError("degree must be >= 1")
-    return _report(p, _exact_tol(tol), 1)
+    return _report(p.coeffs, _exact_tol(tol), 1)
 
 
 def generacci_char_analysis(params: SBParams, tol: float = DEFAULT_TOL) -> RootReport:
@@ -419,9 +349,11 @@ def generacci_char_analysis(params: SBParams, tol: float = DEFAULT_TOL) -> RootR
     aux(0) = -b and aux(s/(s+1)) = -(s/(s+1))^s/(s+1) - b are both negative.
     """
     half_tol = _exact_tol(tol) / 2
-    if params.s + 1 > ROOT_DEGREE_BUDGET:
-        raise BudgetExceededError("(s,b) root degree", params.s + 1, ROOT_DEGREE_BUDGET)
-    return _report(generacci_aux(params), half_tol, params.b)
+    s, b = params.s, params.b
+    if s + 1 > ROOT_DEGREE_BUDGET:
+        raise BudgetExceededError("(s,b) root degree", s + 1, ROOT_DEGREE_BUDGET)
+    # generacci_aux(params).coeffs as a bare tuple, so a memo hit builds no Polynomial
+    return _report((-b, *(0,) * (s - 1), -1, 1), half_tol, b)
 
 
 def fit_leading_constant(

@@ -290,7 +290,8 @@ def _edges(*budgets: int):
 
 def _argvs(verb: str, *targets: str, **flags):
     drawn = [values.map(f"--{flag}={{}}".format) for flag, values in flags.items()]
-    return st.tuples(st.just(verb), st.sampled_from(targets), *drawn)
+    formats = st.sampled_from(["--format=json", "--format=csv"])
+    return st.tuples(st.just(verb), st.sampled_from(targets), *drawn, formats)
 
 
 _SB_EDGES = _edges(SEED_BUDGET, SEED_BUDGET + 1)
@@ -325,8 +326,8 @@ _VERB_ARGVS = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(_VERB_ARGVS)
 def test_verb_exit_contract(argv):
-    # the normalize contract for every other verb, each sized by its flags;
-    # a root printed for a --tol also keeps within it
+    # the normalize contract for every other verb, each sized by its flags,
+    # in either format; a root printed for a --tol also keeps within it
     code, out, err = _main_in_process(*argv)
     assert code in (0, 2, 3), (code, err)
     assert "Traceback" not in err
@@ -335,8 +336,13 @@ def test_verb_exit_contract(argv):
         return
     assert _main_in_process(*argv) == (0, out, err)
     if argv[0] == "roots":
-        record = json.loads(out)
-        assert float(record["rows"][0]["error_bound"]) <= float(record["params"]["tol"])
+        if "--format=csv" in argv:  # the csv row has no tol column, so it is read from argv
+            row = next(csv.DictReader(io.StringIO(out)))
+            tol = next(arg for arg in argv if arg.startswith("--tol=")).removeprefix("--tol=")
+        else:
+            record = json.loads(out)
+            row, tol = record["rows"][0], record["params"]["tol"]
+        assert float(row["error_bound"]) <= float(tol)
 
 
 @pytest.mark.parametrize(

@@ -199,6 +199,29 @@ def test_durand_kerner_runs_once_per_polynomial(monkeypatch):
         assert len(evaluations) > swept
 
 
+def test_repeated_report_is_one_memo_lookup(monkeypatch):
+    numerics._report.cache_clear()
+    brackets, evaluations = [], []
+    real_bracket, real_call = numerics.dominant_root_bracket, Polynomial.__call__
+    monkeypatch.setattr(numerics, "dominant_root_bracket", lambda *args: brackets.append(args) or real_bracket(*args))
+    monkeypatch.setattr(Polynomial, "__call__", lambda p, x: evaluations.append(x) or real_call(p, x))
+    first = dominant_root(count_char(), 1e-40), generacci_char_analysis(SBParams(2, 3), 1e-40)
+    assert len(brackets) == 2 and evaluations
+    brackets.clear()
+    evaluations.clear()
+    # the same (polynomial, tol) again, from new objects: no bracket search
+    # (so no exact sign check) and no evaluation
+    assert (dominant_root(count_char(), 1e-40), generacci_char_analysis(SBParams(2, 3), 1e-40)) == first
+    assert not brackets and not evaluations
+    monkeypatch.undo()
+    # the memo is bounded
+    info = numerics._report.cache_info()
+    assert info.maxsize == 1024
+    for n in range(2, info.maxsize + 100):
+        dominant_root(quilt_char(), Fraction(1, n))
+    assert numerics._report.cache_info().currsize == 1024
+
+
 @pytest.mark.parametrize("poly", [quilt_char(), count_char(), greedy_aux_char()], ids=["quilt", "count", "aux"])
 @pytest.mark.parametrize("tol", [0.5, 0.1, 1e-3])
 def test_coarse_tolerance_still_converges_the_root(poly, tol):
@@ -547,7 +570,7 @@ ORDER_POLYS = (
     count_char(),
     greedy_aux_char(),
     # (x - 1)(x^2 - x - 1): p(1) = 0 and the root is below 2, so the grid
-    # starts at 1 + tol, and no cell may be kept
+    # starts at 1 + tol, and each tol has a grid of its own
     monomial_poly((3, 1), (2, -2), (0, 1)),
     *(generacci_aux(SBParams(s, b)) for s in (1, 2, 3) for b in (1, 2, 3)),
     *EDGE_POLYS,
@@ -572,7 +595,7 @@ def _bisection_brackets(p, tols):
 
 
 def _fresh_report(call, arg, tol):
-    numerics._record.cache_clear()
+    numerics._report.cache_clear()
     return call(arg, tol)
 
 
@@ -587,15 +610,14 @@ def order_references():
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
 def test_results_do_not_depend_on_the_order_of_requests(order, order_references):
-    # Each polynomial's record keeps its deepest cell, and a coarser request
-    # shifts it.  Whatever came before, a bracket is the bisection's and a
-    # report the one a cleared record gives.
+    # Reports are memoized per (coefficients, tol, b).  Whatever came before,
+    # a bracket is the bisection's and a report the one a cleared memo gives.
     want_brackets, want_reports = order_references
     calls = list(want_reports)
     calls.sort(key=lambda call: Fraction(call[1]), reverse=order == "ascending")  # ascending tol: coarse first
     if order == "shuffled":
         random.Random(29).shuffle(calls)
-    numerics._record.cache_clear()
+    numerics._report.cache_clear()
     for arg, tol in calls:
         if isinstance(arg, SBParams):
             assert generacci_char_analysis(arg, tol) == want_reports[arg, tol], (arg, tol)
@@ -605,9 +627,9 @@ def test_results_do_not_depend_on_the_order_of_requests(order, order_references)
 
 
 # Eight threads ask for reports on shared polynomials at mixed tolerances,
-# with the interpreter switching threads every microsecond; a thread that
-# loses a race may leave a shallower cell, but every report must equal the
-# one a single thread with a cleared record gives.
+# with the interpreter switching threads every microsecond; they share one
+# report memo, and every report must equal the one a single thread with a
+# cleared memo gives.
 _THREADED = """
 import random, sys, threading
 from genquilt import numerics
@@ -643,7 +665,7 @@ sys.setswitchinterval(0.005)
 want = {}
 for call, arg, tol, report in seen:
     if (call, arg, tol) not in want:
-        numerics._record.cache_clear()
+        numerics._report.cache_clear()
         want[call, arg, tol] = call(arg, tol)
     assert report == want[call, arg, tol], (arg, tol, report)
 """
