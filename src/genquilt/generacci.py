@@ -210,27 +210,6 @@ def generate(params: SBParams, count: int) -> RecurrenceCache:
     return cache.ensure_count(count)
 
 
-def bin_of(params: SBParams, index: int) -> int:
-    """1-based bin number of a 1-based index: ceil(index / b)."""
-    if index < 1:
-        raise ValueError(f"index must be >= 1, got {index}")
-    return (index + params.b - 1) // params.b
-
-
-def is_legal_sb(params: SBParams, indices: Iterable[int]) -> bool:
-    """Whether the index set is legal: neighbouring bins more than s apart.
-
-    Bins are monotone in index, so neighbours in index order are enough.  Two
-    indices in one bin are illegal, so duplicate indices are too.  The empty
-    set and singletons are legal.
-    """
-    idx = sorted(indices)
-    if idx and idx[0] < 1:
-        raise ValueError(f"indices must be >= 1, got {idx[0]}")
-    bins = [bin_of(params, i) for i in idx]
-    return all(hi - lo > params.s for lo, hi in zip(bins, bins[1:]))
-
-
 def decompose(cache: RecurrenceCache, m: int) -> Decomposition:
     """Repeatedly subtract the largest term not exceeding the remainder.
 

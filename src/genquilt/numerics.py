@@ -1,20 +1,13 @@
 """Characteristic polynomials, certified dominant roots, and growth constants.
 
-Polynomials carry exact integer coefficients.  The dominant positive root
-is isolated by a sign-change scan, and its bracket is the cell that exact
-bisection would reach, found in O(log k) exact evaluations for k bits by
-Newton steps at doubling precision that integer sign checks certify (the
-bracket is a certificate).  The search keeps nothing between calls.  One
-safeguarded Newton loop in doubles both seeds that search and polishes the
-root inside the bracket.  The other roots come from one Durand-Kerner
-iteration in double precision, seeded evenly on the circle of the Fujiwara
-bound.  One report path serves both families: a polynomial's own root, and
-the (s,b) rate r^{1/b}, whose r is the polished root of the bin-level
-polynomial and whose error bound comes from r's exact bracket.  A report
-is a pure function of the coefficients, the exact tolerance and b, so one
-bounded process-wide memo keeps the last 1024.  Leading-constant fits are
-exact integer ratios rounded once, so nothing depends on a working
-precision.
+Polynomials carry exact integer coefficients.  A dominant root's bracket is
+the cell exact bisection would reach, found by Newton steps at doubling
+precision that integer sign checks certify; one safeguarded Newton loop in
+doubles seeds that search and polishes the root.  The secondary modulus of
+a bin-level trinomial y^s (y - 1) - c is one complex Newton solve on one
+branch of its roots; Durand-Kerner finds all roots of any other polynomial.
+Reports are memoized as a pure function of (coefficients, exact tol, b).
+Leading-constant fits are exact ratios rounded once.
 """
 
 from __future__ import annotations
@@ -30,7 +23,7 @@ from .generacci import FrozenRecord, SBParams
 
 #: Default bracket width of dominant_root and generacci_char_analysis.
 DEFAULT_TOL = 1e-12
-ROOT_DEGREE_BUDGET = 256  # degree s+1 of the (s,b) bin-level polynomial
+ROOT_DEGREE_BUDGET = 256  # degree s+1 of the (s,b) bin-level polynomial; 0.4-0.6 s to bracket at 5e-324
 _DK_STEPS = 500  # Durand-Kerner sweeps before the roots count as unconverged
 _FIRST_LEVEL = 48  # grid bits a double's root can place; the bracket search starts there
 _GUARD_BITS = 8  # each level has 8 bits fewer than twice the last, for Newton's constant
@@ -150,8 +143,7 @@ def dominant_root_bracket(p: Polynomial, tol: Fraction | float) -> tuple[Fractio
     sign checks certify each proposal by galloping to the sign change and
     bisecting the gallop window.  A grid point that is the root returns
     root -/+ tol/2; a root at H stays as hi.  The end-point signs are the
-    proof.  Each call searches afresh and keeps nothing; the reports built
-    on a bracket are what the process remembers (``_report``).
+    proof.  Nothing is kept between calls.
     """
     tol = _exact_tol(tol)
     lead = p.coeffs[-1]
@@ -257,19 +249,10 @@ def _float_root(p: Polynomial, a: float, b: float) -> float | None:
 def complex_roots(p: Polynomial) -> list[complex]:
     """All roots of ``p`` in double precision, by Durand-Kerner on ``p`` itself.
 
-    The seeds sit evenly on the circle of the Fujiwara bound, which encloses
-    every root.  A run that does not settle within its step cap, or leaves
-    the finite floats, raises ``ArithmeticError`` rather than return
-    meaningless roots.  The roots depend only on the coefficients, so a
-    bounded process-wide memo keeps the last 64 runs that converged; each
-    call gets a new list.
+    Seeded evenly on the Fujiwara bound's circle, which encloses every root;
+    each sweep costs O(n^2) complex products.  A run that does not settle
+    within its step cap, or leaves the finite floats, raises ``ArithmeticError``.
     """
-    return list(_durand_kerner(p.coeffs))
-
-
-@lru_cache(maxsize=64)
-def _durand_kerner(coeffs: tuple[int, ...]) -> tuple[complex, ...]:
-    p = Polynomial(coeffs)
     n = p.degree
     lead = p.coeffs[-1]
     radius = 2 * max(abs(p.coeffs[n - k] / lead) ** (1 / k) for k in range(1, n + 1))
@@ -287,29 +270,56 @@ def _durand_kerner(coeffs: tuple[int, ...]) -> tuple[complex, ...]:
         if not all(map(cmath.isfinite, roots)):
             break
         if shift <= 1e-15 * radius:
-            return tuple(roots)
+            return roots
     raise ArithmeticError(f"roots of {p} did not converge")
+
+
+def _branch_modulus(s: int, c: int, y: float) -> float:
+    """Largest modulus of a root other than ``y`` of g = y^s (y - 1) = c >= 1 (c/y if s = 1).
+
+    1. |g| is 0 and s^s/(s+1)^(s+1) < 1 at its critical points 0, s/(s+1),
+       so the curve |g| = c, which holds every root, holds none of them.
+    2. On the ray at angle t, r^(2s) (r^2 - 2r cos t + 1) = c^2 has one
+       solution r(t): where that function of r is not monotone, cos t > 0.94
+       and it stays below 1 on (0, 1].
+    3. At fixed r it grows with |t|, so r(t) falls strictly as |t| grows.
+    4. Along the curve's upper half, Im F = s t + Arg(z - 1) for F = s Log z
+       + Log(z - 1) rises strictly from 0 to (s+1) pi, by Cauchy-Riemann and
+       step 1.  So the nonreal root of least t > 0, the largest by step 3,
+       is the one zero of F = log c + 2 pi i with Im z > 0.
+    Newton on it from y e^(2 pi i/(s+1)) stops once a step no longer moves z
+    or shrinks; Im z <= 0, or a last step above 1e-12 |z|, raises ArithmeticError.
+    """
+    if s == 1:
+        return c / y
+    target = complex(math.log(c), 2 * math.pi)
+    z = y * cmath.exp(2j * math.pi / (s + 1))
+    last = math.inf
+    for _ in range(_FLOAT_STEPS):
+        step = (s * cmath.log(z) + cmath.log(z - 1) - target) / (s / z + 1 / (z - 1))
+        if z - step == z or abs(step) >= last:
+            break
+        z, last = z - step, abs(step)
+    if not (z.imag > 0 and abs(step) <= 1e-12 * abs(z)):
+        raise ArithmeticError(f"the secondary root of y^{s}(y - 1) = {c} did not converge")
+    return abs(z)
 
 
 @lru_cache(maxsize=1024)
 def _report(coeffs: tuple[int, ...], tol: Fraction, b: int) -> RootReport:
     """The unique positive root y > 1 of p as lambda = y^{1/b}, with its bounds.
 
-    The one report path of both families: b = 1 for ``dominant_root``, and
-    b for the (s,b) bin-level polynomial, where y = x^b.  The caller asserts
-    such a root exists; absence of a sign change on the scan range is an
-    error.  The root is ``_float_root`` run on the exact bracket, so however
-    wide ``tol`` is, it is converged in doubles; should that loop overflow,
-    the bracket's midpoint stands in.  On y >= 1 the map y -> y^{1/b} has
-    slope at most 1/b, so ``error_bound`` is the bracket's width divided by
-    b, rounded up to a double: never below it, and never 0.  The float
-    root's own error can exceed it when ``tol`` is below about 1e-16.  The
-    secondary modulus is the largest among the other roots of p, each
-    taken to the power 1/b.
-
-    p is the polynomial with ``coeffs``.  The report depends on nothing but
-    the arguments, so a bounded process-wide memo keeps the last 1024: a
-    repeated request costs one lookup, and a report that raises is not kept.
+    b = 1 for ``dominant_root``, and b for the (s,b) bin-level polynomial,
+    where y = x^b.  The root is ``_float_root`` run on the exact bracket (its
+    midpoint should that loop overflow), so it is converged in doubles
+    however wide ``tol`` is.  On y >= 1, y -> y^{1/b} has slope at most 1/b,
+    so ``error_bound`` is the bracket's width over b rounded up to a double:
+    never below it and never 0, though below about 1e-16 the float root's
+    own error can exceed it.  The secondary modulus, to the power 1/b, is
+    the largest among the other roots: ``_branch_modulus`` gives it when
+    ``coeffs`` is (-c, 0, ..., 0, -1, 1) with c >= 1, as for every (s,b)
+    report and ``greedy_aux_char``, and ``complex_roots`` otherwise.  A
+    bounded memo keeps the last 1024 reports; one that raises is not kept.
     """
     p = Polynomial(coeffs)
     lo, hi = dominant_root_bracket(p, tol)
@@ -321,8 +331,12 @@ def _report(coeffs: tuple[int, ...], tol: Fraction, b: int) -> RootReport:
     bound = float(width)
     if bound < width:
         bound = math.nextafter(bound, math.inf)
-    rest = sorted(complex_roots(p), key=lambda z: abs(z - y))[1:]
-    secondary = max((abs(z) for z in rest), default=0.0)
+    s = len(coeffs) - 2
+    if s >= 1 and coeffs[0] < 0 and coeffs[-2:] == (-1, 1) and not any(coeffs[1:-2]):
+        secondary = _branch_modulus(s, -coeffs[0], y)
+    else:
+        rest = sorted(complex_roots(p), key=lambda z: abs(z - y))[1:]
+        secondary = max((abs(z) for z in rest), default=0.0)
     return RootReport(y ** (1 / b), bound, secondary ** (1 / b))
 
 
@@ -342,11 +356,7 @@ def generacci_char_analysis(params: SBParams, tol: float = DEFAULT_TOL) -> RootR
     r is the unique positive root of y^{s+1} - y^s - b; it lies in (1, b+2),
     as the value at 1 is -b and at b+1 is positive.  The y-root is
     bracketed at half the tolerance, so the bound stays within tol even for
-    b = 1.
-
-    The polynomial is square-free for every s, b >= 1: its derivative is
-    y^{s-1}((s+1)y - s), so a repeated root could only be 0 or s/(s+1), but
-    aux(0) = -b and aux(s/(s+1)) = -(s/(s+1))^s/(s+1) - b are both negative.
+    b = 1.  The secondary modulus is ``_branch_modulus``'s, at any degree.
     """
     half_tol = _exact_tol(tol) / 2
     s, b = params.s, params.b

@@ -8,15 +8,16 @@ depth-first decomposition counter, a scan of plain greedy for its failures
 of the Greedy-6 structure theorem, a plain coin-change DP for minimal
 summand counts, and a Sylvester-matrix resultant.  Closed-form
 generators, counting recurrences and exact shortcuts are validated
-against these.  Both legality rules are stated here again, literally,
-apart from the library's automaton and bin scan; only plain greedy, in
-the failure scan, is shared.
+against these.  Both legality rules are stated here, pairwise (the quilt
+rule apart from the library's automaton; the (s,b) rule only here, as the
+library's greedy decomposition needs no check); only plain greedy, in the
+failure scan, is shared.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Literal, NamedTuple
+from typing import Iterable, Literal, NamedTuple
 
 from . import BudgetExceededError
 from . import generacci as g
@@ -49,6 +50,15 @@ def _extend_ok(kind: Kind, candidate: int, chosen_desc: list[int]) -> bool:
         return all(j - candidate not in (0, 1, 3, 4) for j in chosen_desc)
     s, b = kind.s, kind.b
     return all((j - 1) // b - (candidate - 1) // b > s for j in chosen_desc)
+
+
+def is_legal(kind: Kind, indices: Iterable[int]) -> bool:
+    """Whether the index set obeys ``kind``'s rule, each index checked by
+    ``_extend_ok`` against every larger one; duplicates are illegal."""
+    desc = sorted(indices, reverse=True)
+    if desc and desc[-1] < 1:
+        raise ValueError(f"indices must be >= 1, got {desc[-1]}")
+    return all(_extend_ok(kind, i, desc[:n]) for n, i in enumerate(desc))
 
 
 def definitional_sequence(kind: Kind, count: int) -> list[int]:

@@ -14,10 +14,10 @@ from fractions import Fraction
 
 from genquilt.cli import main as cli_main
 from genquilt.cli import percent_string
-from genquilt.generacci import SBParams, decompose, generate, is_legal_sb
+from genquilt.generacci import SBParams, decompose, generate
 from genquilt.greedy import greedy6_decompose, normalize_to_greedy6, success_table
 from genquilt.numerics import count_char, dominant_root, dominant_root_bracket, fit_leading_constant, quilt_char
-from genquilt.oracle import enumerate_legal, greedy_failures, min_summands_table, structure_conditions
+from genquilt.oracle import enumerate_legal, greedy_failures, is_legal, min_summands_table, structure_conditions
 from genquilt.quilt import is_fq_legal, quilt_terms
 from genquilt.quilt_count import average_decompositions, count_decompositions, count_tables
 from genquilt.stats import gaussian_fit, ks_normal_distance, summand_distribution
@@ -138,7 +138,7 @@ def test_criterion_07_uniqueness():
                     assert result.by_value.get(m, 0) == 1, (params, m)
                     dec = decompose(cache, m)
                     assert dec.total == m
-                    assert is_legal_sb(params, dec.indices)
+                    assert is_legal(params, dec.indices)
                     assert tuple(sorted(by_value[m], reverse=True)) == dec.indices, (params, m)
 
 

@@ -166,6 +166,17 @@ class TestRoots:
         row = record["rows"][0]
         assert (row["dominant_root"], row["leading_constant"]) == ("1.46557123188", "0.896185071926")
 
+    @pytest.mark.parametrize(
+        "s, b", [(110, 1), (138, 1), (211, 1), (110, 2), (163, 2), (174, 2), (211, 2), (110, 3), (151, 3), (174, 3)]
+    )
+    def test_generacci_where_durand_kerner_does_not_settle(self, capsys, s, b):
+        # Durand-Kerner on all s + 1 roots of the bin-level polynomial never
+        # converges for these pairs; the secondary modulus needs only one
+        code, out, err = run(capsys, "roots", "generacci", "--s", str(s), "--b", str(b))
+        assert (code, err) == (0, "")
+        row = json.loads(out)["rows"][0]
+        assert 0 < float(row["secondary_modulus"]) < float(row["dominant_root"])
+
     def test_greedy_aux(self, capsys):
         record = run_json(capsys, "roots", "greedy-aux")
         # dominant root of r^5 - r^4 - 1 coincides with the quilt growth rate
@@ -295,9 +306,10 @@ def _argvs(verb: str, *targets: str, **flags):
 
 
 _SB_EDGES = _edges(SEED_BUDGET, SEED_BUDGET + 1)
-# s = ROOT_DEGREE_BUDGET puts the degree s + 1 one over its budget; the root
-# at the budget, s = 255, takes about 5 s, so it is left out
-_ROOT_SB_EDGES = _edges(ROOT_DEGREE_BUDGET, SEED_BUDGET - 1, SEED_BUDGET, SEED_BUDGET + 1)
+# s = ROOT_DEGREE_BUDGET puts the degree s + 1 one over its budget, and
+# s = 255 is the largest root; s = 110 and 211 are pairs on which
+# Durand-Kerner, run on the whole (s,b) polynomial, does not converge
+_ROOT_SB_EDGES = _edges(110, 211, 255, ROOT_DEGREE_BUDGET, SEED_BUDGET - 1, SEED_BUDGET, SEED_BUDGET + 1)
 _TOL_EDGES = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "5e-324", "0.5", "1e-12"])
 _N_EDGES = _edges(6, DISTRIBUTION_BUDGET, DISTRIBUTION_BUDGET + 1)
 # seq at TERMS_BUDGET renders for seconds, so its count stops at budget + 1

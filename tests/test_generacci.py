@@ -15,12 +15,11 @@ from genquilt.generacci import (
     Decomposition,
     RecurrenceCache,
     SBParams,
-    bin_of,
     decompose,
     generate,
-    is_legal_sb,
 )
 from genquilt.numerics import generacci_char_analysis
+from genquilt.oracle import is_legal
 from genquilt.quilt import shared_cache
 
 # Frozen from the definitional scan (see test_oracle for the live cross-check).
@@ -93,42 +92,48 @@ def test_in_bin_relation():
 
 
 class TestBins:
+    # bins are ceil(index / b), seen through legality at their boundaries
     def test_width_two(self):
-        assert bin_of(SBParams(1, 2), 5) == 3
+        # index 5 is in bin 3: two bins past index 2, one past index 3
+        assert is_legal(SBParams(1, 2), [5, 2])
+        assert not is_legal(SBParams(1, 2), [5, 3])
 
     def test_width_one(self):
-        assert bin_of(SBParams(1, 1), 7) == 7
+        assert is_legal(SBParams(1, 1), [7, 5])
+        assert not is_legal(SBParams(1, 1), [7, 6])
 
     def test_boundary(self):
-        assert bin_of(SBParams(1, 3), 3) == 1
+        # index 3 closes bin 1 and index 4 opens bin 2, two and one bins below index 7
+        assert is_legal(SBParams(1, 3), [7, 3])
+        assert not is_legal(SBParams(1, 3), [7, 4])
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            bin_of(SBParams(1, 1), 0)
+            is_legal(SBParams(1, 1), [0])
 
 
 class TestLegality:
     def test_gap_beyond_s_is_legal(self):
         # indices 6 and 2 sit in bins 3 and 1; gap 2 > s = 1
-        assert is_legal_sb(SBParams(1, 2), [6, 2])
+        assert is_legal(SBParams(1, 2), [6, 2])
 
     def test_same_bin_is_illegal(self):
-        assert not is_legal_sb(SBParams(1, 2), [6, 5])
+        assert not is_legal(SBParams(1, 2), [6, 5])
 
     def test_singleton_and_empty(self):
         for s in range(1, 4):
             for b in range(1, 4):
-                assert is_legal_sb(SBParams(s, b), [11])
-                assert is_legal_sb(SBParams(s, b), [])
+                assert is_legal(SBParams(s, b), [11])
+                assert is_legal(SBParams(s, b), [])
 
     def test_gap_of_exactly_s_is_illegal(self):
         # bins 1 and 2 with s = 1: only 0 bins between them
-        assert not is_legal_sb(SBParams(1, 1), [2, 1])
+        assert not is_legal(SBParams(1, 1), [2, 1])
         # bins 1 and 3 with s = 2
-        assert not is_legal_sb(SBParams(2, 1), [3, 1])
+        assert not is_legal(SBParams(2, 1), [3, 1])
 
     def test_duplicates_rejected(self):
-        assert not is_legal_sb(SBParams(1, 1), [3, 3])
+        assert not is_legal(SBParams(1, 1), [3, 3])
 
     def test_every_subset_matches_the_pairwise_bin_rule(self):
         # the bin rule read literally: every pair of indices, ceil(i / b) as bin
@@ -140,11 +145,11 @@ class TestLegality:
                     expected = all(
                         abs(-(-i // b) - -(-j // b)) > s for i, j in combinations(sub, 2)
                     )
-                    assert is_legal_sb(params, sub) == expected, (s, b, sub)
+                    assert is_legal(params, sub) == expected, (s, b, sub)
 
     def test_bad_index_raises_before_illegal_pair(self):
         with pytest.raises(ValueError):
-            is_legal_sb(SBParams(1, 1), [5, 4, 0])
+            is_legal(SBParams(1, 1), [5, 4, 0])
 
 
 class TestDecompose:
@@ -181,7 +186,7 @@ class TestDecompose:
             for m in range(0, 400):
                 dec = decompose(cache, m)
                 assert dec.total == m
-                assert is_legal_sb(params, dec.indices)
+                assert is_legal(params, dec.indices)
 
     def test_huge_value(self):
         params = SBParams(2, 3)
@@ -189,7 +194,7 @@ class TestDecompose:
         m = 10**30
         dec = decompose(cache, m)
         assert dec.total == m
-        assert is_legal_sb(params, dec.indices)
+        assert is_legal(params, dec.indices)
 
     def test_slow_growth_is_refused_at_the_terms_budget(self):
         # (1, 1000) gains about 1.5 digits per 1000 terms, so 10^300 would
@@ -204,7 +209,7 @@ class TestDecompose:
         m = 10 * params.seed_count
         dec = decompose(generate(params, 1), m)
         assert dec.total == m
-        assert is_legal_sb(params, dec.indices)
+        assert is_legal(params, dec.indices)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(min_value=0, max_value=10**40))
@@ -212,7 +217,7 @@ class TestDecompose:
         params = SBParams(s, b)
         dec = decompose(generate(params, 1), m)
         assert dec.total == m
-        assert is_legal_sb(params, dec.indices)
+        assert is_legal(params, dec.indices)
 
 
 def test_count_past_the_budget_is_refused_before_growing():

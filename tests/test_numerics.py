@@ -1,6 +1,7 @@
 """Root isolation, polynomial identities, and leading-constant fits."""
 
 from bisect import bisect_left
+import cmath
 import hashlib
 import math
 import os
@@ -95,6 +96,18 @@ def test_greedy_aux_shares_the_cubic_dominant_root():
     assert quintic.secondary_modulus == pytest.approx(1.0, abs=1e-9)
 
 
+def _trinomial_roots(s: int, c: int) -> list[complex]:
+    """All s + 1 roots of y^s (y - 1) = c, each by Newton on its own branch
+    s Log z + Log(z - 1) = log c + 2 pi i k from the k-th root of c + 1."""
+    roots = []
+    for k in range(-(s // 2), (s + 1) // 2 + 1):
+        z = (c + 1) ** (1 / (s + 1)) * cmath.exp(2j * math.pi * k / (s + 1))
+        for _ in range(60):
+            z -= (s * cmath.log(z) + cmath.log(z - 1) - complex(math.log(c), 2 * math.pi * k)) / (s / z + 1 / (z - 1))
+        roots.append(z)
+    return roots
+
+
 class TestDominantRoot:
     def test_cubic(self):
         rep = dominant_root(quilt_char(), 1e-10)
@@ -156,14 +169,15 @@ class TestDominantRoot:
             assert generacci_char_analysis(SBParams(2, 3), tol).error_bound <= tol
 
     def test_matches_independent_solver(self):
-        # cross-check Durand-Kerner + bisection against mpmath's polyroots
-        sb_params = [SBParams(s, b) for s in (1, 2, 3) for b in (1, 2, 3)] + [SBParams(120, 1000)]
+        # cross-check the reports against mpmath's polyroots; Durand-Kerner
+        # fails on (110, 1), which the branch solve answers
+        sb_params = [SBParams(s, b) for s in (1, 2, 3) for b in (1, 2, 3)] + [SBParams(120, 1000), SBParams(110, 1)]
         for poly in (quilt_char(), count_char(), greedy_aux_char(), *map(generacci_aux, sb_params)):
             rep = dominant_root(poly, 1e-12)
             # From its own seeds mpmath needs about 30 s at degree 121.  Started
-            # from the double-precision roots it needs a few steps, and its
+            # from double-precision roots it needs a few steps, and its
             # iteration rests only on the full root set, so it still checks them.
-            init = complex_roots(poly) if poly.degree > 10 else None
+            init = _trinomial_roots(poly.degree - 1, -poly.coeffs[0]) if poly.degree > 10 else None
             with mp.workdps(30):
                 roots = mp.polyroots(list(reversed(poly.coeffs)), maxsteps=100, extraprec=20, roots_init=init)
                 by_mod = sorted((abs(r) for r in roots), reverse=True)
@@ -178,25 +192,29 @@ class TestDominantRoot:
             dominant_root(monomial_poly((200, 1), (0, -(10**300))), 1e-9)
 
 
-def test_durand_kerner_runs_once_per_polynomial(monkeypatch):
-    evaluations = []
-    real = Polynomial.__call__
-    monkeypatch.setattr(Polynomial, "__call__", lambda p, x: evaluations.append(x) or real(p, x))
-    poly = monomial_poly((4, 1), (3, -2), (0, -11))  # not used elsewhere
-    first = complex_roots(poly)
-    swept = len(evaluations)
-    assert swept
-    want = list(first)
-    first[0] = 0j
-    first.append(1j)
-    assert complex_roots(Polynomial(poly.coeffs)) == want
-    assert len(evaluations) == swept
-    # a run that fails is not remembered
-    for _ in range(2):
-        swept = len(evaluations)
-        with pytest.raises(ArithmeticError):
-            complex_roots(monomial_poly((200, 1), (0, -(10**300))))
-        assert len(evaluations) > swept
+def test_branch_solve_matches_durand_kerner():
+    # the secondary modulus of y^s (y - 1) = b from its one branch equation
+    # against the largest other root of the whole polynomial
+    for s in range(1, 41):
+        for b in (1, 2, 3, 10):
+            aux = generacci_aux(SBParams(s, b))
+            y = dominant_root(aux).dominant_root
+            rest = sorted(complex_roots(aux), key=lambda z: abs(z - y))[1:]
+            want = max(abs(z) for z in rest)
+            assert abs(numerics._branch_modulus(s, b, y) - want) <= 4 * math.ulp(want), (s, b)
+
+
+def test_trinomial_reports_run_no_durand_kerner(monkeypatch):
+    def refuse(p):
+        raise AssertionError(f"complex_roots({p})")
+
+    numerics._report.cache_clear()
+    monkeypatch.setattr(numerics, "complex_roots", refuse)
+    rep = generacci_char_analysis(SBParams(255, 1))
+    assert 1 < rep.secondary_modulus < rep.dominant_root
+    assert dominant_root(greedy_aux_char()).secondary_modulus == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(AssertionError, match="complex_roots"):
+        dominant_root(quilt_char())
 
 
 def test_repeated_report_is_one_memo_lookup(monkeypatch):

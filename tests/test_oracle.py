@@ -5,13 +5,13 @@ from itertools import combinations
 import pytest
 
 from genquilt import BudgetExceededError
-from genquilt.generacci import SBParams, generate, is_legal_sb
+from genquilt.generacci import SBParams, generate
 from genquilt.oracle import (
     DFS_COUNT_BUDGET,
-    _extend_ok,
     count_decompositions_dfs,
     definitional_sequence,
     enumerate_legal,
+    is_legal,
     min_summands_table,
 )
 from genquilt.quilt import is_fq_legal, quilt_terms
@@ -56,9 +56,9 @@ class TestEnumeration:
     def test_every_subset_is_legal(self):
         for sub in enumerate_legal("quilt", 12).subsets:
             assert is_fq_legal(sub)
-        params = SBParams(2, 2)
-        for sub in enumerate_legal(params, 12).subsets:
-            assert is_legal_sb(params, sub)
+        # the (s,b) rule read literally: every pair of indices, ceil(i / b) as bin
+        for sub in enumerate_legal(SBParams(2, 2), 12).subsets:
+            assert all(abs(-(-i // 2) - -(-j // 2)) > 2 for i, j in combinations(sub, 2))
 
     def test_by_value_totals_subsets(self):
         result = enumerate_legal("quilt", 10)
@@ -86,20 +86,14 @@ class TestEnumeration:
             enumerate_legal("quilt", 46)
 
 
-class TestExtendRule:
-    def test_sb_extend_agrees_with_full_predicate(self):
-        # the oracle's incremental bin test vs the library's predicate, over legal prefixes
-        for s in (1, 2):
-            for b in (1, 2):
-                params = SBParams(s, b)
-                for r in range(0, 4):
-                    for combo in combinations(range(1, 10), r):
-                        desc = sorted(combo, reverse=True)
-                        if not is_legal_sb(params, desc):
-                            continue
-                        for cand in range(1, (desc[-1] if desc else 10)):
-                            expected = is_legal_sb(params, desc + [cand])
-                            assert _extend_ok(params, cand, desc) == expected
+def test_quilt_rule_matches_the_automaton():
+    # the oracle's pairwise quilt rule against the library's window automaton
+    for bits in range(1 << 12):
+        sub = [i for i in range(1, 13) if bits >> (i - 1) & 1]
+        assert is_legal("quilt", sub) == is_fq_legal(sub), sub
+    assert not is_legal("quilt", [5, 5])
+    with pytest.raises(ValueError):
+        is_legal("quilt", [4, 0])
 
 
 class TestCountDecompositionsDfs:
